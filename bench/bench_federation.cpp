@@ -145,11 +145,24 @@ int main(int argc, char** argv) {
     double wall_s = 0.0;
     std::map<QueryId, std::size_t> per_query;
     std::size_t results = 0;
+    /// Total bytes moved: driver links plus worker-to-worker peer links.
     double wire_bytes_per_tuple = 0.0;
     double e2e_p50_us = 0.0;  ///< ingest->delivery latency (run/fed modes)
     double e2e_p99_us = 0.0;
   };
   std::vector<Row> rows;
+
+  const auto fed_report = [&](Row& row,
+                              const middleware::Cosmos::RunReport& report) {
+    std::uint64_t wire_bytes = report.federation.peer_bytes;
+    for (const auto& link : report.federation.links) {
+      wire_bytes += link.bytes_sent + link.bytes_received;
+    }
+    row.wire_bytes_per_tuple =
+        static_cast<double>(wire_bytes) / static_cast<double>(events.size());
+    row.e2e_p50_us = report.e2e_percentile_us(50.0);
+    row.e2e_p99_us = report.e2e_percentile_us(99.0);
+  };
 
   const auto finish = [&](Row row) {
     for (const auto& [q, n] : row.per_query) row.results += n;
@@ -199,48 +212,11 @@ int main(int argc, char** argv) {
     const Stopwatch watch;
     const auto report = sys->run_federated(events, opts);
     row.wall_s = watch.seconds();
-    std::uint64_t wire_bytes = 0;
-    for (const auto& link : report.federation.links) {
-      wire_bytes += link.bytes_sent + link.bytes_received;
-    }
-    row.wire_bytes_per_tuple =
-        static_cast<double>(wire_bytes) / static_cast<double>(events.size());
-    row.e2e_p50_us = report.e2e_percentile_us(50.0);
-    row.e2e_p99_us = report.e2e_percentile_us(99.0);
-    finish(std::move(row));
-    for (auto& p : fleet.procs) {
-      if (p.wait() != 0) std::printf("!! worker exited non-zero\n");
-    }
-  }
-
-  {
-    // Peer-link topology: execute batches travel worker-to-worker, the
-    // driver ships compact route decisions. Wire bytes here include the
-    // peer-link traffic, so the comparison against fed:2w is apples to
-    // apples for total bytes moved.
-    Row row;
-    row.name = "fed:2w-peer";
-    auto fleet = spawn_fleet(2);
-    auto sys = build(row.per_query);
-    middleware::Cosmos::FederationOptions opts;
-    opts.workers = fleet.endpoints;
-    opts.batch_size = 256;
-    opts.tick_ms = 30 * 60'000;
-    opts.max_inflight_chunks = 4;
-    opts.peer_links = true;
-    const Stopwatch watch;
-    const auto report = sys->run_federated(events, opts);
-    row.wall_s = watch.seconds();
-    std::uint64_t wire_bytes = report.federation.peer_bytes;
-    for (const auto& link : report.federation.links) {
-      wire_bytes += link.bytes_sent + link.bytes_received;
-    }
-    row.wire_bytes_per_tuple =
-        static_cast<double>(wire_bytes) / static_cast<double>(events.size());
-    row.e2e_p50_us = report.e2e_percentile_us(50.0);
-    row.e2e_p99_us = report.e2e_percentile_us(99.0);
+    fed_report(row, report);
+    // Execute batches travel worker-to-worker; the driver ships compact
+    // route decisions only.
     if (report.federation.driver_execute_bytes != 0) {
-      std::printf("!! peer-link run shipped execute bytes from the driver\n");
+      std::printf("!! fault-free run shipped execute bytes from the driver\n");
     }
     finish(std::move(row));
     for (auto& p : fleet.procs) {
@@ -275,9 +251,7 @@ int main(int argc, char** argv) {
     journal_bytes_per_tuple =
         static_cast<double>(report.federation.journal_bytes) /
         static_cast<double>(events.size());
-    row.wire_bytes_per_tuple = rows[2].wire_bytes_per_tuple;  // same star path
-    row.e2e_p50_us = report.e2e_percentile_us(50.0);
-    row.e2e_p99_us = report.e2e_percentile_us(99.0);
+    fed_report(row, report);
     std::printf("journal: %.1f journal bytes/tuple, %llu fsyncs\n",
                 journal_bytes_per_tuple,
                 static_cast<unsigned long long>(report.federation.journal_fsyncs));
@@ -303,8 +277,7 @@ int main(int argc, char** argv) {
   const Row& run2 = rows[1];
   const Row& fed2 = rows[2];
   const Row& fed4 = rows[3];
-  const Row& fedp = rows[4];
-  const Row& fedj = rows[5];
+  const Row& fedj = rows[4];
   std::printf("federated 2w vs in-process 2-shard: %.2fx wall "
               "(%.1f wire bytes/tuple)\n",
               run2.wall_s / fed2.wall_s, fed2.wire_bytes_per_tuple);
@@ -322,8 +295,6 @@ int main(int argc, char** argv) {
        {"fed_tuples_per_s_4w", tuples / fed4.wall_s},
        {"fed_vs_run_wall_ratio_2w", run2.wall_s / fed2.wall_s},
        {"wire_bytes_per_tuple_2w", fed2.wire_bytes_per_tuple},
-       {"fed_peer_tuples_per_s_2w", tuples / fedp.wall_s},
-       {"fed_peer_wire_bytes_per_tuple_2w", fedp.wire_bytes_per_tuple},
        {"fed_journal_tuples_per_s_2w", tuples / fedj.wall_s},
        {"fed_journal_bytes_per_tuple_2w", journal_bytes_per_tuple},
        {"fed_journal_vs_plain_wall_ratio_2w", fed2.wall_s / fedj.wall_s},

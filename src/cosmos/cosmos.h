@@ -171,9 +171,9 @@ class Cosmos {
     /// (kPeerHello + peer-shipped kExecute), summed across the fleet.
     std::uint64_t peer_frames = 0;
     std::uint64_t peer_bytes = 0;
-    /// Bytes of kExecute frames the *driver* sent. With peer_links on this
-    /// is ~0 — batches travel worker-to-worker and the driver only ships
-    /// compact kRouteDecision frames (recovery replay is the exception).
+    /// Bytes of kExecute frames the *driver* sent. Normally 0 — batches
+    /// travel worker-to-worker and the driver only ships compact
+    /// kRouteDecision frames; star fallback and replay are the exceptions.
     std::uint64_t driver_execute_bytes = 0;
     /// Serialized join-state bytes actually shipped in kStateHandoff
     /// frames (measured on the wire, not modeled).
@@ -201,10 +201,11 @@ class Cosmos {
     bool journal_torn_tail = false;
     std::uint64_t journal_records_dropped = 0;
     std::size_t resume_skipped_events = 0;
-    /// In-memory data-log retention: entries appended over the run vs the
-    /// peak held at once. With retention/checkpointing on, peak stays
-    /// bounded by the checkpoint-to-checkpoint window instead of growing
-    /// with the whole trace (peak == appended when nothing truncates).
+    /// In-memory data log: entries appended over the run vs the peak held
+    /// at once. The driver's periodic fleet-wide flushes (or, with worker
+    /// recovery on, its checkpoints) keep the peak bounded instead of
+    /// growing with the whole trace (peak == appended when nothing
+    /// truncates).
     std::size_t data_log_appended = 0;
     std::size_t data_log_peak_entries = 0;
   };
@@ -254,14 +255,20 @@ class Cosmos {
   // streams it owns. The driver replicates the topology, schemas, p1
   // subscriptions and unit deployments over registration frames, then
   // pipelines driver chunks exactly like run(): match requests go to each
-  // stream's owner worker, responses are routed *on the driver* into
-  // per-engine row selections (so routing policy lives in one place),
-  // pre-routed batches go to each engine's worker, and result tuples come
-  // back for p2 delivery on the driver thread. Per-channel FIFO plays the
-  // role of shard-queue FIFO, so per-query result sequences stay
-  // byte-identical to push() — the federation differential tests assert it
-  // across worker counts and live migrations. The per-chunk match barrier
-  // is relaxed to a bounded in-flight window (max_inflight_chunks).
+  // stream's owner worker, which keeps the batch; responses are routed *on
+  // the driver* into per-engine row selections (so routing policy lives in
+  // one place) and go back to the owner as a compact route decision; the
+  // owner ships each engine's slice straight to that engine's worker over
+  // a worker-to-worker peer link, and result tuples come back for p2
+  // delivery on the driver thread. The driver ships batches itself only
+  // when a peer link is declared dead and when it replays its data log
+  // (worker recovery, driver resume, lost executes). Per-engine execute
+  // sequence numbers play the role of shard-queue FIFO, so per-query result
+  // sequences stay byte-identical to push() — the federation differential
+  // tests assert it across worker counts and live migrations. The
+  // per-chunk match barrier is relaxed to a bounded in-flight window
+  // (max_inflight_chunks); the driver's replay data log is bounded by a
+  // fleet-wide flush every few windows, with no option to set.
 
   struct FederationOptions {
     /// Worker endpoints ("unix:/path" or "tcp:host:port"), one per
@@ -299,14 +306,6 @@ class Cosmos {
     /// samples. Workers still ship one final sample at end of session
     /// when tracing or sampling is on.
     stream::Timestamp stats_sample_every_ms = 0;
-    /// Peer-link mode: the driver distributes the fleet endpoint table
-    /// (kPeerTable), match-owner workers retain their batches, and the
-    /// driver's route stage sends compact kRouteDecision frames — execute
-    /// batches then travel worker-to-worker instead of bouncing through
-    /// the driver. Results are byte-identical either way (per-engine seq
-    /// ordering replaces single-channel FIFO); false keeps the star path
-    /// as the differential oracle.
-    bool peer_links = false;
     /// Worker restart recovery. When enabled, the driver retains every
     /// registration frame and a data log since the last checkpoint; on
     /// dead-worker detection it respawns the daemon on the same endpoint
@@ -363,16 +362,6 @@ class Cosmos {
       stream::Timestamp checkpoint_every_ms = 0;
     };
     Journal journal;
-    /// Bounded in-memory retention of the driver's data_log and delivered
-    /// buffers. A checkpoint already truncates both to its cut; this knob
-    /// additionally advances the all-workers-acked floor *between*
-    /// checkpoints (a flush barrier at chunk boundaries, no state pull),
-    /// pruning data-log entries every worker proved applied. <= 0 leaves
-    /// pruning to checkpoints alone.
-    struct Retention {
-      stream::Timestamp floor_every_ms = 0;
-    };
-    Retention retention;
     /// Deterministic network fault injection: at stream time `at_ms`
     /// (applied at the next chunk boundary, like migrations) the
     /// fault::FaultPlan parsed from `plan` is installed on the driver's
@@ -414,7 +403,7 @@ class Cosmos {
   /// results the crashed run already delivered, and resumes ingesting
   /// `events` — the same full trace the original run was given — from the
   /// journaled cut. Options recorded in the journal (worker count,
-  /// batch_size, tick_ms, worker_shards, peer_links) override `options`;
+  /// batch_size, tick_ms, worker_shards) override `options`;
   /// scripted migrations and fault schedules are cleared (their stream-time
   /// cues may predate the cut). The pre-crash and resumed runs' combined
   /// deliveries are byte-identical to push().

@@ -3,15 +3,25 @@
 // wire::FrameChannel; the channel's reader thread funnels every inbound
 // frame into a small mutex-guarded inbox the driver thread waits on.
 //
+// One data path: the match owner of a stream retains each batch it
+// matched, the driver routes the match response into a compact
+// kRouteDecision, and the owner ships each engine's slice worker-to-worker
+// over a peer link. The driver's own kExecute frames (the star path) are
+// the fallback for a peer link declared dead (kPeerDown) and the replay
+// that worker recovery, driver resume and kSeqGap repair send.
+//
 // Determinism argument, mirroring run(): routing happens on the driver in
 // chunk/run order and assigns every execute a per-engine sequence number;
-// each site applies an engine's executes strictly in seq order, so per-query
-// result sequences are byte-identical to push() at any worker count —
-// whether batches travel the star channels (peer_links=false, FIFO makes
-// the seqs trivially in order) or worker-to-worker peer links
-// (peer_links=true, the site's holdback/dedup re-establishes seq order).
-// The per-chunk match barrier of run() is relaxed to a bounded window of
-// in-flight chunks (max_inflight_chunks).
+// each site applies an engine's executes strictly in seq order — its
+// holdback/dedup re-establishes that order across the peer links and the
+// driver channel — so per-query result sequences are byte-identical to
+// push() at any worker count. The per-chunk match barrier of run() is
+// relaxed to a bounded window of in-flight chunks (max_inflight_chunks).
+//
+// Every routed execute is kept in a data log until the whole fleet acked a
+// flush past its seq (or, with worker recovery on, until the next
+// checkpoint): the replay source for all of the above. The driver bounds it
+// itself with a fleet-wide flush every few in-flight windows (maybe_floor).
 //
 // Worker restart recovery (FederationOptions::recovery): the driver retains
 // every registration frame plus a data log of routed executes since the
@@ -59,9 +69,7 @@ struct Cosmos::Fed {
   Fed(Cosmos& system, const FederationOptions& opts)
       : sys(system),
         options(opts),
-        trace(opts.trace_path),
-        log_data(opts.recovery.enabled || opts.peer_links ||
-                 !opts.faults.empty() || !opts.journal.dir.empty()) {
+        trace(opts.trace_path) {
     trace.add_process_name(0, "driver");
     e2e = &reg.histogram("e2e_latency_ns");
   }
@@ -143,11 +151,6 @@ struct Cosmos::Fed {
   /// star is always correct, and a respawn that re-opens the link merely
   /// leaves this pair conservatively driver-routed.
   std::set<std::pair<std::uint32_t, std::uint32_t>> peer_down_pairs;
-  /// Whether routed executes are retained in data_log: recovery replay,
-  /// peer-down fallback replay and kSeqGap replay all read it. Without
-  /// recovery the log is never truncated by checkpoints (bounded by the
-  /// run's trace, acceptable for fault-injection tests).
-  const bool log_data;
 
   /// Per-engine execute sequence frontier: the next seq the driver will
   /// assign. The floor carried on watermarks/flushes to an engine's worker.
@@ -157,11 +160,11 @@ struct Cosmos::Fed {
   /// Deployments are excluded — recovery re-deploys via kMigrateIn, which
   /// also restores state and the seq cut.
   std::vector<wire::Frame> reg_log;
-  /// One routed execute since the last checkpoint. `owner` is the match
-  /// owner that ships the batch in peer-link mode (SIZE_MAX on the star
-  /// path, where the driver itself sent the frame): replay re-sends an
-  /// entry when its current target OR its owner is the recovered worker —
-  /// covering both a lost shipment and a lost route decision.
+  /// One routed execute not yet proven applied everywhere. `owner` is the
+  /// match owner that ships the batch (SIZE_MAX when the driver itself sent
+  /// the frame): replay re-sends an entry when its current target OR its
+  /// owner is the recovered worker — covering both a lost shipment and a
+  /// lost route decision.
   struct DataLogEntry {
     std::size_t owner = SIZE_MAX;
     NodeId engine;
@@ -171,7 +174,7 @@ struct Cosmos::Fed {
     std::uint64_t ingest_ns = 0;
   };
   std::vector<DataLogEntry> data_log;
-  /// Retention accounting: entries ever appended vs the peak held at once
+  /// Data-log accounting: entries ever appended vs the peak held at once
   /// (the boundedness proof in RunReport::federation).
   std::size_t data_log_appended = 0;
   std::size_t data_log_peak = 0;
@@ -190,8 +193,9 @@ struct Cosmos::Fed {
   std::unordered_map<std::uint64_t, EngineCheckpoint> ckpt;
   stream::Timestamp ckpt_clock_ms = 0;  ///< last checkpoint's stream time
   bool has_ckpt_clock = false;
-  stream::Timestamp floor_clock_ms = 0;  ///< last retention floor advance
-  bool has_floor_clock = false;
+  /// chunk_index at the last fleet-wide flush, where acked_floor (and with
+  /// it the data log's prune point) last advanced.
+  std::size_t floor_chunk = 0;
 
   /// Durable run journal (FederationOptions::journal): created by run() for
   /// a fresh journaled run, installed by resume_federated (continuing the
@@ -595,7 +599,7 @@ struct Cosmos::Fed {
   }
 
   /// Appends one routed execute to the in-memory data log, tracking the
-  /// retention counters the boundedness test asserts on.
+  /// counters the boundedness test asserts on.
   void log_append(DataLogEntry&& entry) {
     data_log.push_back(std::move(entry));
     ++data_log_appended;
@@ -608,7 +612,7 @@ struct Cosmos::Fed {
   /// whole since-checkpoint window, so with it enabled truncation stays
   /// checkpoint-owned.
   void note_all_acked_floors() {
-    if (!log_data) return;
+    floor_chunk = chunk_index;
     for (const auto& [engine, seq] : next_exec_seq) acked_floor[engine] = seq;
     if (options.recovery.enabled) return;
     std::erase_if(data_log, [&](const DataLogEntry& e) {
@@ -629,7 +633,6 @@ struct Cosmos::Fed {
     hello.send_delay_ms = link_delay(i);
     hello.stats_sample_every_ms = options.stats_sample_every_ms;
     hello.trace = options.trace_path.empty() ? 0 : 1;
-    hello.peer_links = options.peer_links ? 1 : 0;
     hello.heartbeat_every_ms = options.liveness.heartbeat_every_ms;
     hello.liveness_deadline_ms = options.liveness.deadline_ms;
     return hello;
@@ -732,11 +735,9 @@ struct Cosmos::Fed {
       }
     }
 
-    if (options.peer_links) {
-      wire::PeerTableMsg table;
-      table.endpoints = options.workers;
-      broadcast_logged(wire::encode_peer_table(table));
-    }
+    wire::PeerTableMsg table;
+    table.endpoints = options.workers;
+    broadcast_logged(wire::encode_peer_table(table));
 
     for (const auto& [uid, unit] : sys.units_) {
       const std::size_t host_worker = unit.host.value() % workers.size();
@@ -778,8 +779,8 @@ struct Cosmos::Fed {
   /// checkpoint cut (kMigrateIn doubles as the deployment, exactly as
   /// worker-restart recovery does), replay the journaled post-checkpoint
   /// executes (site seq dedup absorbs nothing here — the fleet is fresh —
-  /// but peer-link batches replay through the star path like any recovery
-  /// replay), arm result suppression from the journaled delivered floors,
+  /// and they replay through the star path like any recovery replay), arm
+  /// result suppression from the journaled delivered floors,
   /// then open the continued journal segment and seal it with a fresh
   /// checkpoint. After that cut the run is a normal journaled run — and
   /// itself resumable. The journal writer is installed only after the
@@ -847,20 +848,17 @@ struct Cosmos::Fed {
 
     // Replay the journaled whole-chunk executes in route order as plain
     // driver sends, re-advancing each engine's seq frontier past them. The
-    // batches also seed the in-memory data log: with worker recovery on,
-    // the since-checkpoint window must be re-sendable until the fresh cut
-    // below resets it.
+    // batches also seed the in-memory data log: until the fresh cut below
+    // resets it, the window must be re-sendable.
     for (const auto& m : rec.executes) {
       auto& frontier = next_exec_seq[m.engine.value()];
       frontier = std::max(frontier, m.seq + 1);
       auto frame = wire::encode_execute(m);
       driver_execute_bytes += frame.payload.size() + wire::kFrameHeaderBytes;
       send_data(worker_of_engine.at(m.engine), std::move(frame));
-      if (log_data) {
-        log_append({SIZE_MAX, m.engine, m.seq, {},
-                    std::make_shared<const runtime::TupleBatch>(m.batch),
-                    m.ingest_ns});
-      }
+      log_append({SIZE_MAX, m.engine, m.seq, {},
+                  std::make_shared<const runtime::TupleBatch>(m.batch),
+                  m.ingest_ns});
     }
 
     // Restore stream time after the replay (floors make the sites defer
@@ -1127,11 +1125,11 @@ struct Cosmos::Fed {
   /// The route stage of run(), frame-producing: union of matched rows per
   /// subscriber engine (a tuple reaches an engine once however many
   /// subscriptions matched), per-engine batches in run order, each stamped
-  /// with its engine's next seq. Star path: the driver sends the kExecute
-  /// itself. Peer-link path: the driver sends the match owner one compact
-  /// kRouteDecision and the owner ships the retained batch's slices
-  /// worker-to-worker. Either way the route is appended to the data log
-  /// for recovery replay.
+  /// with its engine's next seq. The driver sends the match owner one
+  /// compact kRouteDecision and the owner ships the retained batch's slices
+  /// worker-to-worker; only a pair whose peer link fell back (kPeerDown)
+  /// gets its kExecute from the driver. Either way the route is appended
+  /// to the data log for replay.
   void route_and_execute(const PendingChunk& chunk,
                          std::vector<wire::MatchResponseMsg>& responses) {
     const double route_cpu0 = thread_cpu_seconds();
@@ -1181,11 +1179,8 @@ struct Cosmos::Fed {
         const std::size_t tgt = worker_of_engine.at(node);
         // A pair whose peer link fell back to star routing (kPeerDown)
         // gets its batches from the driver for the rest of the run.
-        const bool peer_path =
-            options.peer_links &&
-            !peer_down_pairs.contains({static_cast<std::uint32_t>(pr.owner),
-                                       static_cast<std::uint32_t>(tgt)});
-        if (peer_path) {
+        if (!peer_down_pairs.contains({static_cast<std::uint32_t>(pr.owner),
+                                       static_cast<std::uint32_t>(tgt)})) {
           // Journal before the decision ships: once the owner slices and
           // sends worker-to-worker the driver never sees these bytes again.
           if (jw) {
@@ -1198,10 +1193,8 @@ struct Cosmos::Fed {
           }
           decision.targets.push_back(
               {node, static_cast<std::uint32_t>(tgt), seq, rows});
-          if (log_data) {
-            log_append({pr.owner, node, seq, std::move(rows), pr.run,
-                        chunk.ingest_ns});
-          }
+          log_append({pr.owner, node, seq, std::move(rows), pr.run,
+                      chunk.ingest_ns});
         } else {
           wire::ExecuteMsg exec;
           exec.engine = node;
@@ -1213,14 +1206,12 @@ struct Cosmos::Fed {
           driver_execute_bytes +=
               frame.payload.size() + wire::kFrameHeaderBytes;
           send_data(tgt, std::move(frame));
-          if (log_data) {
-            log_append({SIZE_MAX, node, seq, std::move(rows), pr.run,
-                        chunk.ingest_ns});
-          }
+          log_append({SIZE_MAX, node, seq, std::move(rows), pr.run,
+                      chunk.ingest_ns});
         }
       }
       // Sent even with no targets: the owner frees the retained batch.
-      if (options.peer_links && pr.awaiting) {
+      if (pr.awaiting) {
         send_data(pr.owner, wire::encode_route_decision(decision));
       }
     }
@@ -1352,8 +1343,7 @@ struct Cosmos::Fed {
         }
       }
 
-      // Data-log replay, in route order, as plain driver executes (the one
-      // place peer-link mode still sends batches from the driver). An
+      // Data-log replay, in route order, as plain driver executes. An
       // entry is replayed when its current target is the recovered worker
       // (a lost or half-applied delivery) or its owner is (a lost
       // kRouteDecision / unshipped slice). Survivor sites drop replayed
@@ -1362,20 +1352,15 @@ struct Cosmos::Fed {
         return worker_of_engine.at(entry.engine) == i || entry.owner == i;
       });
 
-      // Re-send match requests this owner still owes an answer for. In
-      // peer-link mode re-match even answered jobs: the retained batch
-      // died with the worker, and a pending chunk's kRouteDecision will
-      // need it (the duplicate response is emplace-deduped driver-side).
+      // Re-send every match request of a pending chunk this owner took,
+      // answered or not: the retained batch died with the worker, and the
+      // chunk's kRouteDecision will need it (a duplicate response is
+      // emplace-deduped driver-side).
       for (const auto& pc : pending) {
         for (const auto& pr : pc.runs) {
-          if (!pr.awaiting || pr.owner != i) continue;
-          bool answered = false;
-          {
-            std::lock_guard lock{mu};
-            answered = match_responses.contains(pr.job);
+          if (pr.awaiting && pr.owner == i) {
+            send_data(i, wire::encode_match_request({pr.job, *pr.run}));
           }
-          if (answered && !options.peer_links) continue;
-          send_data(i, wire::encode_match_request({pr.job, *pr.run}));
         }
       }
 
@@ -1537,22 +1522,20 @@ struct Cosmos::Fed {
     if (checkpoint()) ckpt_clock_ms = now;
   }
 
-  /// Periodic retention-floor advance (FederationOptions::retention),
-  /// between checkpoints: drain the window, flush the fleet — the full ack
-  /// set advances acked_floor and prunes the data log — and deliver. No
-  /// state is pulled, so it is much cheaper than a checkpoint.
-  void maybe_floor(stream::Timestamp now) {
-    if (options.retention.floor_every_ms <= 0) return;
-    if (!has_floor_clock) {
-      floor_clock_ms = now;
-      has_floor_clock = true;
-      return;
-    }
-    if (now - floor_clock_ms < options.retention.floor_every_ms) return;
-    while (!pending.empty()) complete_front();
+  /// In-flight windows of chunks between two acked-floor advances.
+  static constexpr std::size_t kFloorWindows = 8;
+
+  /// Bounds the data log between checkpoints: once kFloorWindows in-flight
+  /// windows of chunks went by since the last fleet-wide flush, flush the
+  /// fleet — the full ack set advances acked_floor and prunes every entry
+  /// routed so far. The window is not drained (its chunks hold no seqs yet)
+  /// and no state is pulled, so this costs one barrier round trip. The log
+  /// then never holds more than about (kFloorWindows + 1) windows of
+  /// routes. With worker recovery on, checkpoints own the truncation.
+  void maybe_floor(std::size_t window) {
+    if (options.recovery.enabled) return;
+    if (chunk_index - floor_chunk < kFloorWindows * window) return;
     flush_all();
-    drain_deliver();
-    floor_clock_ms = now;
   }
 
   // --- live migration ------------------------------------------------------
@@ -1693,7 +1676,6 @@ struct Cosmos::Fed {
     m.tick_ms = options.tick_ms;
     m.worker_shards = static_cast<std::uint32_t>(
         options.worker_shards == 0 ? 1 : options.worker_shards);
-    m.peer_links = options.peer_links;
     m.endpoints = options.workers;
     return m;
   }
@@ -1820,7 +1802,7 @@ struct Cosmos::Fed {
           run_migrations_due(chunk.first_ts);
           run_faults_due(chunk.first_ts);
           maybe_checkpoint(chunk.first_ts);
-          maybe_floor(chunk.first_ts);
+          maybe_floor(window);
           dispatch(std::move(chunk));
           if (options.on_chunk) options.on_chunk(chunk_index);
           ++chunk_index;
@@ -1911,7 +1893,6 @@ Cosmos::RunReport Cosmos::resume_federated(
   effective.batch_size = rec.meta.batch_size;
   effective.tick_ms = rec.meta.tick_ms;
   effective.worker_shards = rec.meta.worker_shards;
-  effective.peer_links = rec.meta.peer_links;
   effective.migrations.clear();
   effective.faults.clear();
   if (effective.workers.empty()) {

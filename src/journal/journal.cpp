@@ -112,7 +112,6 @@ void encode_meta(wire::Writer& w, const Meta& m) {
   w.u64(m.batch_size);
   w.i64(m.tick_ms);
   w.u32(m.worker_shards);
-  w.u8(m.peer_links ? 1 : 0);
   w.u32(static_cast<std::uint32_t>(m.endpoints.size()));
   for (const auto& e : m.endpoints) w.str(e);
 }
@@ -123,7 +122,6 @@ Meta decode_meta(wire::Reader& r) {
   m.batch_size = r.u64();
   m.tick_ms = r.i64();
   m.worker_shards = r.u32();
-  m.peer_links = r.u8() != 0;
   const std::uint32_t n = r.u32();
   m.endpoints.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) m.endpoints.push_back(r.str());

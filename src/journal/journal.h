@@ -74,7 +74,8 @@ class Error : public std::runtime_error {
 // Format constants.
 
 inline constexpr std::uint32_t kSegmentMagic = 0x4C4E4A43u;  // "CJNL"
-inline constexpr std::uint16_t kFormatVersion = 1;
+/// v2: Meta drops the peer-link flag (peer routing is the only data path).
+inline constexpr std::uint16_t kFormatVersion = 2;
 inline constexpr std::size_t kSegmentHeaderBytes = 16;
 /// Upper bound on one record body; recovery rejects larger length claims so
 /// a corrupt prefix cannot trigger a giant allocation (mirrors the wire
@@ -113,7 +114,6 @@ struct Meta {
   std::uint64_t batch_size = 0;
   stream::Timestamp tick_ms = 0;
   std::uint32_t worker_shards = 1;
-  bool peer_links = false;
   std::vector<std::string> endpoints;  ///< endpoints[i] = worker i
 };
 

@@ -27,45 +27,6 @@ void set_recv_timeout(const wire::Socket& sock, std::int64_t ms) {
 
 }  // namespace
 
-bool serve_connection(wire::Socket socket) {
-  wire::FrameChannel channel{std::move(socket)};
-  try {
-    // The session opens with kHello: it carries the shard count the Site's
-    // runtime should use and the emulated one-way delay this side applies
-    // to its own outgoing frames.
-    auto first = channel.recv();
-    if (!first) return true;  // connected, then closed: nothing to serve
-    const auto hello = wire::decode_hello(*first);
-    channel.set_send_delay_ms(hello.send_delay_ms);
-    // Symmetric liveness: this side also probes when send-idle and applies
-    // the same silence deadline to the driver — a worker whose driver died
-    // mid-session errors out within the deadline instead of lingering.
-    channel.set_liveness(hello.heartbeat_every_ms, hello.liveness_deadline_ms);
-    Site site{{hello.shards == 0 ? 1 : hello.shards, 64}};
-    std::vector<wire::Frame> out;
-    bool keep_going = site.handle(*first, out);
-    for (auto& f : out) channel.send(std::move(f));
-    while (keep_going) {
-      auto frame = channel.recv();
-      if (!frame) break;  // clean peer close
-      out.clear();
-      keep_going = site.handle(*frame, out);
-      for (auto& f : out) channel.send(std::move(f));
-    }
-    channel.close();
-    return true;
-  } catch (const std::exception& e) {
-    // Best effort: tell the driver why before tearing the session down. A
-    // send failure here means the peer is already gone.
-    try {
-      channel.send(wire::encode_error({e.what()}));
-    } catch (...) {
-    }
-    channel.close();
-    return false;
-  }
-}
-
 NodeServer::NodeServer(wire::Listener& listener, Options options)
     : listener_(listener), options_(std::move(options)) {}
 

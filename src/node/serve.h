@@ -1,23 +1,16 @@
-// Serving a worker's connections. Two layers:
-//
-//  - serve_connection(): one driver session on one already-accepted socket
-//    (star topology only). Factored out of tools/cosmos_noded so tests can
-//    serve a session on an in-process thread against a real socket pair
-//    without spawning the binary.
-//
-//  - NodeServer: the full daemon — keeps the listener open for the whole
-//    driver session and classifies every inbound connection by its first
-//    frame: kHello starts the (single) driver session, kPeerHello starts a
-//    peer-link receive loop feeding the same Site (acknowledged with
-//    kPeerHelloAck, so a dialer can tell a *serving* peer from a listener
-//    backlog that merely accepted the connect). Outbound peer links are
-//    dialed lazily from the driver-distributed kPeerTable when the Site
-//    ships an execute to another worker; a dead peer link is re-dialed once
-//    per ship (a respawned worker re-binds the same endpoint). When both
-//    attempts fail the pair is declared down: the worker reports kPeerDown
-//    to the driver, which replays the lost shipments from its data log and
-//    re-routes the pair's future traffic through the star — a partitioned
-//    or hung peer link degrades, it does not wedge or silently drop.
+// Serving a worker's connections: NodeServer is the full daemon. It keeps
+// the listener open for the whole driver session and classifies every
+// inbound connection by its first frame: kHello starts the (single) driver
+// session, kPeerHello starts a peer-link receive loop feeding the same Site
+// (acknowledged with kPeerHelloAck, so a dialer can tell a *serving* peer
+// from a listener backlog that merely accepted the connect). Outbound peer
+// links are dialed lazily from the driver-distributed kPeerTable when the
+// Site ships an execute to another worker; a dead peer link is re-dialed
+// once per ship (a respawned worker re-binds the same endpoint). When both
+// attempts fail the pair is declared down: the worker reports kPeerDown to
+// the driver, which replays the lost shipments from its data log and
+// re-routes the pair's future traffic through the star — a partitioned or
+// hung peer link degrades, it does not wedge or silently drop.
 #pragma once
 
 #include <atomic>
@@ -41,13 +34,6 @@
 namespace cosmos::node {
 
 class Site;
-
-/// Serves frames on `socket` until kBye, peer close or failure. The first
-/// frame must be kHello; it fixes the session's runtime shard count and
-/// emulated send delay. On any error a best-effort kError frame is sent
-/// before returning. Returns true for an orderly end (kBye or clean peer
-/// close), false when the session died on an error.
-bool serve_connection(wire::Socket socket);
 
 /// The daemon's connection fabric around one Site. Not movable; the
 /// listener is borrowed and stays open (and accepting peer dials) until

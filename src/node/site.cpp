@@ -150,6 +150,8 @@ bool Site::handle_locked(const Frame& frame, std::vector<Frame>& out,
     }
     case FrameType::kFlush: {
       auto m = wire::decode_flush(frame);
+      decided_.erase(decided_.begin(), decided_.lower_bound(decided_mark_));
+      if (!decided_.empty()) decided_mark_ = *decided_.rbegin() + 1;
       if (gate_.empty() && floors_met(m.floors)) {
         apply_flush(m, out);
       } else {
@@ -402,10 +404,10 @@ void Site::on_match(wire::MatchRequestMsg m, std::vector<Frame>& out) {
     resp.deliveries.emplace_back(d.sub->id, std::move(d.rows));
   }
   out.push_back(wire::encode_match_response(resp));
-  if (hello_.peer_links != 0) {
-    // Retain the batch: the driver's kRouteDecision slices it into
-    // per-engine executes here instead of echoing the rows back over the
-    // star. insert_or_assign absorbs a recovery re-request of the same job.
+  // Retain the batch: the driver's kRouteDecision slices it into per-engine
+  // executes here instead of echoing the rows back over the star.
+  // insert_or_assign absorbs a recovery re-request of the same job.
+  if (!decided_.contains(m.job)) {
     retained_.insert_or_assign(m.job, std::move(m.batch));
   }
 }
@@ -414,6 +416,9 @@ void Site::on_route_decision(wire::RouteDecisionMsg m, std::vector<Frame>& out,
                              std::vector<PeerShip>& ships) {
   const auto it = retained_.find(m.job);
   if (it == retained_.end()) {
+    // A duplicate of an applied decision: its executes already shipped
+    // (and a re-ship would be seq-deduped anyway).
+    if (decided_.contains(m.job)) return;
     throw wire::Error{"node: route decision for unknown job " +
                       std::to_string(m.job)};
   }
@@ -431,6 +436,7 @@ void Site::on_route_decision(wire::RouteDecisionMsg m, std::vector<Frame>& out,
     }
   }
   retained_.erase(it);
+  decided_.insert(m.job);
 }
 
 void Site::emit_stats_sample(std::vector<Frame>& out) {

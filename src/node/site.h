@@ -37,6 +37,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <set>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -212,9 +213,16 @@ class Site {
   /// Peer executes for engines not (yet) hosted here; re-applied on
   /// migrate-in.
   std::vector<wire::ExecuteMsg> held_peer_execs_;
-  /// Peer-link mode: match-request batches retained by job until the
-  /// driver's kRouteDecision slices and frees them.
+  /// Match-request batches retained by job until the driver's
+  /// kRouteDecision slices and frees them.
   std::map<std::uint64_t, runtime::TupleBatch> retained_;
+  /// Jobs whose decision already applied, so a duplicated kRouteDecision
+  /// (or a late duplicate kMatchRequest) is a no-op. Each kFlush forgets
+  /// the jobs decided before the previous one (below `decided_mark_`): a
+  /// duplicate trails its original by at most a frame or two on the FIFO
+  /// driver channel, never by a whole barrier interval.
+  std::set<std::uint64_t> decided_;
+  std::uint64_t decided_mark_ = 0;
   std::deque<Gated> gate_;
   /// Last kSeqGap emission (epoch = never): the starvation report repeats
   /// at most once per liveness deadline, so a slow driver replay is not

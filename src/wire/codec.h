@@ -50,7 +50,9 @@ inline constexpr std::uint32_t kMagic = 0x434F534Du;  // "COSM"
 /// carries the knobs), kPeerHelloAck completing the peer-link handshake,
 /// kPeerDown reporting a wedged peer link to the driver, and kSeqGap
 /// requesting replay of executes lost on a live-but-lossy link.
-inline constexpr std::uint16_t kProtocolVersion = 3;
+/// v4: peer routing is the only data path — kHello drops its peer-link
+/// flag; every match owner retains its batches for kRouteDecision.
+inline constexpr std::uint16_t kProtocolVersion = 4;
 /// Upper bound on one frame's payload; decode rejects larger claims so a
 /// corrupt length prefix cannot trigger a giant allocation.
 inline constexpr std::uint32_t kMaxPayloadBytes = 1u << 30;

@@ -88,7 +88,6 @@ Frame encode_hello(const HelloMsg& m) {
   w.i64(m.send_delay_ms);
   w.i64(m.stats_sample_every_ms);
   w.u8(m.trace);
-  w.u8(m.peer_links);
   w.i64(m.heartbeat_every_ms);
   w.i64(m.liveness_deadline_ms);
   return finish(FrameType::kHello, std::move(w));
@@ -103,7 +102,6 @@ HelloMsg decode_hello(const Frame& f) {
   m.send_delay_ms = r.i64();
   m.stats_sample_every_ms = r.i64();
   m.trace = r.u8();
-  m.peer_links = r.u8();
   m.heartbeat_every_ms = r.i64();
   m.liveness_deadline_ms = r.i64();
   r.done();

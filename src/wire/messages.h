@@ -35,10 +35,6 @@ struct HelloMsg {
   /// Non-zero: the node enables its span tracer and ships collected spans
   /// in its kStatsSample frames for driver-side timeline merging.
   std::uint8_t trace = 0;
-  /// Non-zero: peer-link mode. The node retains match-request batches and
-  /// ships kExecute slices worker-to-worker per kRouteDecision instead of
-  /// receiving pre-routed batches from the driver.
-  std::uint8_t peer_links = 0;
   /// Liveness knobs (v3). The driver's sender emits a kHeartbeat whenever
   /// the session channel has been send-idle this long; the node echoes each
   /// one, which is what proves its serve loop is still draining frames.
@@ -209,7 +205,7 @@ struct StatsSampleMsg {
 };
 
 /// Driver -> node: the fleet's endpoint table, indexed by worker. Workers
-/// dial each other lazily from it when peer-link mode is on. Carries its
+/// dial each other lazily from it to ship executes. Carries its
 /// own format version (same pattern as kStatsSample) so the table can grow
 /// fields without a protocol bump.
 struct PeerTableMsg {
@@ -218,7 +214,7 @@ struct PeerTableMsg {
   std::vector<std::string> endpoints;  ///< endpoints[i] = worker i
 };
 
-/// Driver -> owner worker (peer-link mode): how to slice + ship one match
+/// Driver -> owner worker: how to slice + ship one match
 /// job's retained batch. One decision per matched run, sent even when
 /// `targets` is empty so the owner can free the retained batch.
 struct RouteDecisionMsg {

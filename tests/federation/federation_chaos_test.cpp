@@ -1,15 +1,15 @@
 // Federation chaos differential: a worker SIGKILLed mid-trace must be
 // respawned on the same endpoint, replayed from the last checkpoint, and
 // resumed — with per-query result sequences byte-identical to the
-// synchronous push() mode. Exercised across seeds, worker counts and both
-// execute-shipping topologies (star and peer links), which makes this the
-// end-to-end regression for the whole recovery tail: stale-socket rebind,
+// synchronous push() mode. Exercised across seeds, worker counts and
+// checkpoint cadences, which makes this the end-to-end regression for the
+// whole recovery tail: stale-socket rebind,
 // registration replay, checkpointed state re-handoff, data-log replay and
 // the sites' per-engine seq dedup.
 //
 // Also here (they need real cosmos_noded processes): the peer-link traffic
-// accounting guarantee — with peer_links on, execute batches travel
-// worker-to-worker and the driver ships ~no execute bytes — and the
+// accounting guarantee — execute batches travel worker-to-worker and the
+// driver ships no execute bytes in a fault-free run — and the
 // NodeProcess supervision contract (poll / terminate / kill / exit_status).
 #include <gtest/gtest.h>
 
@@ -67,12 +67,10 @@ TEST(FederationChaos, KillRespawnResumeMatchesPush) {
 
     struct Config {
       std::size_t workers;
-      bool peer_links;
       stream::Timestamp checkpoint_every_ms;
     };
     for (const Config cfg :
-         {Config{2, false, 0}, Config{2, true, 60'000}, Config{4, false, 0},
-          Config{4, true, 0}}) {
+         {Config{2, 0}, Config{2, 60'000}, Config{4, 0}}) {
       auto fleet = spawn_fleet(cfg.workers, "kill");
       ResultLog fed_log;
       auto sys = build_system(w, fed_log);
@@ -81,7 +79,6 @@ TEST(FederationChaos, KillRespawnResumeMatchesPush) {
       opts.workers = fleet.endpoints;
       opts.batch_size = 16;  // small chunks: the kill lands mid-trace
       opts.tick_ms = 20 * 60'000;
-      opts.peer_links = cfg.peer_links;
       opts.recovery.enabled = true;
       opts.recovery.noded_path = node::default_noded_path();
       opts.recovery.checkpoint_every_ms = cfg.checkpoint_every_ms;
@@ -110,7 +107,6 @@ TEST(FederationChaos, KillRespawnResumeMatchesPush) {
       ASSERT_EQ(fed_log, push_log)
           << "chaos differential mismatch: seed=" << seed
           << " workers=" << cfg.workers
-          << " peer_links=" << cfg.peer_links
           << " checkpoint_every_ms=" << cfg.checkpoint_every_ms;
 
       // The victim died on our SIGKILL; everyone else (including the
@@ -225,31 +221,22 @@ TEST(FederationChaos, PeerLinksKeepExecuteBytesOffDriver) {
     for (const auto& ev : w.events) sys->push(ev.stream, ev.tuple);
   }
 
-  for (const bool peer : {false, true}) {
-    auto fleet = spawn_fleet(2, peer ? "peer" : "star");
-    ResultLog fed_log;
-    auto sys = build_system(w, fed_log);
-    Cosmos::FederationOptions opts;
-    opts.workers = fleet.endpoints;
-    opts.batch_size = 32;
-    opts.tick_ms = 20 * 60'000;
-    opts.peer_links = peer;
-    const auto report = sys->run_federated(w.events, opts);
+  auto fleet = spawn_fleet(2, "peer");
+  ResultLog fed_log;
+  auto sys = build_system(w, fed_log);
+  Cosmos::FederationOptions opts;
+  opts.workers = fleet.endpoints;
+  opts.batch_size = 32;
+  opts.tick_ms = 20 * 60'000;
+  const auto report = sys->run_federated(w.events, opts);
 
-    ASSERT_EQ(fed_log, push_log) << "peer_links=" << peer;
-    if (peer) {
-      // No recovery replay happened, so the driver shipped *zero* execute
-      // bytes: batches traveled worker-to-worker over peer links.
-      EXPECT_EQ(report.federation.driver_execute_bytes, 0u);
-      EXPECT_GT(report.federation.peer_frames, 0u);
-      EXPECT_GT(report.federation.peer_bytes, 0u);
-    } else {
-      EXPECT_GT(report.federation.driver_execute_bytes, 0u);
-      EXPECT_EQ(report.federation.peer_frames, 0u);
-      EXPECT_EQ(report.federation.peer_bytes, 0u);
-    }
-    for (auto& p : fleet.procs) EXPECT_EQ(p.wait(), 0);
-  }
+  ASSERT_EQ(fed_log, push_log);
+  // No recovery replay happened, so the driver shipped *zero* execute
+  // bytes: batches traveled worker-to-worker over peer links.
+  EXPECT_EQ(report.federation.driver_execute_bytes, 0u);
+  EXPECT_GT(report.federation.peer_frames, 0u);
+  EXPECT_GT(report.federation.peer_bytes, 0u);
+  for (auto& p : fleet.procs) EXPECT_EQ(p.wait(), 0);
 }
 
 TEST(FederationChaos, DaemonRebindsEndpointAfterSigkill) {

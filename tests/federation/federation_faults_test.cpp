@@ -68,14 +68,8 @@ TEST(FederationFaults, SigstopWorkerDetectedAndRecovered) {
     const auto w = make_workload(seed);
     const auto push_log = push_baseline(w);
 
-    struct Config {
-      std::size_t workers;
-      bool peer_links;
-    };
-    for (const Config cfg :
-         {Config{2, false}, Config{2, true}, Config{4, false},
-          Config{4, true}}) {
-      auto fleet = spawn_fleet(cfg.workers, "stop");
+    for (const std::size_t workers : {2, 4}) {
+      auto fleet = spawn_fleet(workers, "stop");
       ResultLog fed_log;
       auto sys = build_system(w, fed_log);
 
@@ -83,7 +77,6 @@ TEST(FederationFaults, SigstopWorkerDetectedAndRecovered) {
       opts.workers = fleet.endpoints;
       opts.batch_size = 16;  // small chunks: the stop lands mid-trace
       opts.tick_ms = 20 * 60'000;
-      opts.peer_links = cfg.peer_links;
       opts.recovery.enabled = true;
       opts.recovery.noded_path = node::default_noded_path();
       opts.liveness.heartbeat_every_ms = 100;
@@ -92,7 +85,7 @@ TEST(FederationFaults, SigstopWorkerDetectedAndRecovered) {
         opts.trace_path = trace_env;
         trace_written = true;
       }
-      const std::size_t victim = 1 % cfg.workers;
+      const std::size_t victim = 1 % workers;
       bool stopped = false;
       opts.on_chunk = [&](std::size_t chunk) {
         if (chunk == 2 && !stopped) {
@@ -104,12 +97,12 @@ TEST(FederationFaults, SigstopWorkerDetectedAndRecovered) {
       const auto report = sys->run_federated(w.events, opts);
 
       ASSERT_TRUE(stopped) << "trace too short to land the stop: seed="
-                           << seed << " workers=" << cfg.workers;
+                           << seed << " workers=" << workers;
       EXPECT_GE(report.federation.recoveries, 1u);
       EXPECT_EQ(report.tuples, w.events.size());
       ASSERT_EQ(fed_log, push_log)
           << "sigstop differential mismatch: seed=" << seed
-          << " workers=" << cfg.workers << " peer_links=" << cfg.peer_links;
+          << " workers=" << workers;
 
       // The stopped orphan still holds the old endpoint; SIGKILL reaps a
       // stopped process without needing SIGCONT first.
@@ -160,7 +153,7 @@ TEST(FederationFaults, SigstopSigcontUnderDeadlineIsNotAFailure) {
 }
 
 TEST(FederationFaults, OneWayPeerPartitionFallsBackToStar) {
-  // Peer-link mode with every outbound worker-to-worker link one-way
+  // Every outbound worker-to-worker link one-way
   // partitioned: the dialed connection opens (the link looks "up") but
   // every sent frame vanishes, so the kPeerHello ack never comes back.
   // The bounded handshake wait — paced by the liveness deadline — times
@@ -179,7 +172,6 @@ TEST(FederationFaults, OneWayPeerPartitionFallsBackToStar) {
   opts.workers = fleet.endpoints;
   opts.batch_size = 16;
   opts.tick_ms = 20 * 60'000;
-  opts.peer_links = true;
   opts.liveness.heartbeat_every_ms = 100;
   opts.liveness.deadline_ms = 500;
 

@@ -41,7 +41,6 @@ Meta test_meta() {
   m.batch_size = 16;
   m.tick_ms = 60'000;
   m.worker_shards = 2;
-  m.peer_links = true;
   m.endpoints = {"unix:/tmp/w0.sock", "unix:/tmp/w1.sock"};
   return m;
 }
@@ -108,7 +107,6 @@ TEST_F(JournalTest, FreshRunRoundTrips) {
   EXPECT_EQ(rec.meta.batch_size, 16u);
   EXPECT_EQ(rec.meta.tick_ms, 60'000);
   EXPECT_EQ(rec.meta.worker_shards, 2u);
-  EXPECT_TRUE(rec.meta.peer_links);
   ASSERT_EQ(rec.meta.endpoints.size(), 2u);
   EXPECT_EQ(rec.meta.endpoints[1], "unix:/tmp/w1.sock");
 

@@ -122,7 +122,6 @@ TEST(WireCodec, ControlFramesRoundTrip) {
   hello.send_delay_ms = 250;
   hello.stats_sample_every_ms = 60'000;
   hello.trace = 1;
-  hello.peer_links = 1;
   const auto h = decode_hello(encode_hello(hello));
   EXPECT_EQ(h.protocol, kProtocolVersion);
   EXPECT_EQ(h.worker_index, 3u);
@@ -130,7 +129,6 @@ TEST(WireCodec, ControlFramesRoundTrip) {
   EXPECT_EQ(h.send_delay_ms, 250);
   EXPECT_EQ(h.stats_sample_every_ms, 60'000);
   EXPECT_EQ(h.trace, 1);
-  EXPECT_EQ(h.peer_links, 1);
 
   const auto ack = decode_hello_ack(encode_hello_ack({"worker info"}));
   EXPECT_EQ(ack.info, "worker info");
