@@ -1,7 +1,7 @@
 // Operator hot-path micro-bench: the per-tuple work PRs 1-3 left on the
 // critical path, before and after compilation/batching.
 //
-// Three configurations:
+// Four configurations:
 //   filter-only — interpreted Predicate::eval (per-row Binding env +
 //                 virtual dispatch + string field lookups, the pre-PR-4
 //                 hot path) vs the compiled program, scalar and
@@ -10,6 +10,9 @@
 //                 probe at growing window sizes: the hash probe must win
 //                 superlinearly as the window grows (its cost tracks
 //                 matches, the scan's tracks window occupancy);
+//   band-join   — the sensor time-band join (no equality key): band range
+//                 probe vs the scan at the same window sizes, plus the
+//                 range probe's candidates examined per emitted pair;
 //   match-heavy — subscription matching: interpreted Subscription::matches
 //                 vs compiled filters evaluated batch-at-a-time.
 //
@@ -117,11 +120,56 @@ FilterResult bench_filter(std::size_t rows) {
 
 // ------------------------------------------------------------------ join --
 
+struct Arrival {
+  bool left;
+  Tuple t;
+};
+
 struct JoinResult {
   double scan_s = 0.0;
-  double hash_s = 0.0;
+  double index_s = 0.0;  ///< the hash or band-range probe
   std::size_t emitted = 0;
+  std::size_t index_candidates = 0;
 };
+
+/// Replays `trace` through a scanning join and an indexed one (the same
+/// operator with Options::use_hash_index on); exits on any emitted-count
+/// mismatch.
+JoinResult time_join(const Schema& ls, const Schema& rs,
+                     std::int64_t window_ms, const PredicatePtr& pred,
+                     const std::vector<Arrival>& trace, const char* what) {
+  JoinResult out;
+  for (const bool use_index : {false, true}) {
+    std::size_t emitted = 0;
+    WindowJoinOp join{{"L", &ls, WindowSpec::range_millis(window_ms)},
+                      {"R", &rs, WindowSpec::range_millis(window_ms)},
+                      pred,
+                      [&emitted](const Tuple&) { ++emitted; },
+                      WindowJoinOp::Options{use_index}};
+    const double s = cpu_time([&] {
+      for (const Arrival& a : trace) {
+        if (a.left) {
+          join.push_left(a.t);
+        } else {
+          join.push_right(a.t);
+        }
+      }
+    });
+    if (use_index) {
+      out.index_s = s;
+      out.index_candidates = join.candidates();
+      if (emitted != out.emitted) {
+        std::fprintf(stderr, "!! %s paths disagree: %zu vs %zu\n", what,
+                     emitted, out.emitted);
+        std::exit(1);
+      }
+    } else {
+      out.scan_s = s;
+      out.emitted = emitted;
+    }
+  }
+  return out;
+}
 
 /// Alternating left/right arrivals, 1 tuple per ms per side, equi key over
 /// `keys` distinct values plus a numeric residual; window spans window_ms
@@ -133,11 +181,6 @@ JoinResult bench_join(std::int64_t window_ms, std::size_t arrivals,
   const auto pred = Predicate::conj(
       {Predicate::cmp(FieldRef{"L", "k"}, CmpOp::kEq, FieldRef{"R", "j"}),
        Predicate::cmp(FieldRef{"L", "v"}, CmpOp::kGt, FieldRef{"R", "u"})});
-
-  struct Arrival {
-    bool left;
-    Tuple t;
-  };
   Rng rng{11};
   std::vector<Arrival> trace;
   trace.reserve(arrivals);
@@ -148,37 +191,27 @@ JoinResult bench_join(std::int64_t window_ms, std::size_t arrivals,
                                 rng.next_below(keys))},
                             Value{rng.next_double(-1.0, 1.0)}}}});
   }
+  return time_join(ls, rs, window_ms, pred, trace, "join");
+}
 
-  JoinResult out;
-  for (const bool use_hash : {false, true}) {
-    std::size_t emitted = 0;
-    WindowJoinOp join{{"L", &ls, WindowSpec::range_millis(window_ms)},
-                      {"R", &rs, WindowSpec::range_millis(window_ms)},
-                      pred,
-                      [&emitted](const Tuple&) { ++emitted; },
-                      WindowJoinOp::Options{use_hash}};
-    const double s = cpu_time([&] {
-      for (const Arrival& a : trace) {
-        if (a.left) {
-          join.push_left(a.t);
-        } else {
-          join.push_right(a.t);
-        }
-      }
-    });
-    if (use_hash) {
-      out.hash_s = s;
-      if (emitted != out.emitted) {
-        std::fprintf(stderr, "!! join paths disagree: %zu vs %zu\n", emitted,
-                     out.emitted);
-        std::exit(1);
-      }
-    } else {
-      out.scan_s = s;
-      out.emitted = emitted;
-    }
+/// The sensor band join: two sensor-like streams alternating at 1 tuple
+/// per ms, joined on a 16 ms band over the physical `timestamp` columns
+/// plus a theta comparison, no equality key — the scan examines the whole
+/// window per probe, the range probe only the band.
+JoinResult bench_band_join(std::int64_t window_ms, std::size_t arrivals) {
+  const Schema schema = sensor_like();
+  const auto pred = Predicate::conj(
+      {Predicate::time_band({"R", "timestamp"}, {"L", "timestamp"}, 16),
+       Predicate::cmp(FieldRef{"L", "snowHeight"}, CmpOp::kGt,
+                      FieldRef{"R", "snowHeight"})});
+  Rng rng{17};
+  std::vector<Arrival> trace;
+  trace.reserve(arrivals);
+  for (std::size_t i = 0; i < arrivals; ++i) {
+    trace.push_back({i % 2 == 0,
+                     sensor_tuple(rng, static_cast<Timestamp>(i))});
   }
-  return out;
+  return time_join(schema, schema, window_ms, pred, trace, "band join");
 }
 
 // ----------------------------------------------------------------- match --
@@ -285,16 +318,32 @@ int main() {
     const std::int64_t w = windows[i];
     const JoinResult j =
         bench_join(w, static_cast<std::size_t>(4 * w), /*keys=*/64);
-    speedups[i] = j.scan_s / j.hash_s;
+    speedups[i] = j.scan_s / j.index_s;
     std::printf("join-heavy: window=%lldms arrivals=%lld emitted=%zu "
                 "scan=%.4fs hash=%.4fs (%.1fx)\n",
                 static_cast<long long>(w), static_cast<long long>(4 * w),
-                j.emitted, j.scan_s, j.hash_s, speedups[i]);
+                j.emitted, j.scan_s, j.index_s, speedups[i]);
   }
   const double superlinearity = speedups[2] / speedups[0];
   std::printf("join-heavy: hash-vs-scan superlinearity (w=8192 over "
               "w=512): %.2fx\n",
               superlinearity);
+
+  double band_speedups[3] = {0, 0, 0};
+  double band_candidates_per_emit = 0.0;
+  for (int i = 0; i < 3; ++i) {
+    const std::int64_t w = windows[i];
+    const JoinResult j =
+        bench_band_join(w, static_cast<std::size_t>(4 * w));
+    band_speedups[i] = j.scan_s / j.index_s;
+    band_candidates_per_emit = static_cast<double>(j.index_candidates) /
+                               static_cast<double>(j.emitted);
+    std::printf("band-join: window=%lldms arrivals=%lld emitted=%zu "
+                "scan=%.4fs range=%.4fs (%.1fx) range candidates/emit=%.2f\n",
+                static_cast<long long>(w), static_cast<long long>(4 * w),
+                j.emitted, j.scan_s, j.index_s, band_speedups[i],
+                band_candidates_per_emit);
+  }
 
   const MatchResult match = bench_match(20'000, 200);
   const double match_speedup = match.interp_s / match.compiled_s;
@@ -310,6 +359,10 @@ int main() {
        {"join_hash_vs_scan_speedup_w2048", speedups[1]},
        {"join_hash_vs_scan_speedup_w8192", speedups[2]},
        {"join_hash_superlinearity", superlinearity},
+       {"join_band_vs_scan_speedup_w512", band_speedups[0]},
+       {"join_band_vs_scan_speedup_w2048", band_speedups[1]},
+       {"join_band_vs_scan_speedup_w8192", band_speedups[2]},
+       {"join_band_candidates_per_emit", band_candidates_per_emit},
        {"match_compiled_speedup", match_speedup},
        {"paths_agree", 1.0}});
   return 0;

@@ -471,6 +471,14 @@ std::size_t CompiledQuery::state_tuples() const noexcept {
   return n;
 }
 
+std::vector<const stream::WindowJoinOp*> CompiledQuery::joins() const {
+  std::vector<const stream::WindowJoinOp*> out;
+  for (const auto& stage : stages_) {
+    if (stage->join) out.push_back(stage->join.get());
+  }
+  return out;
+}
+
 std::vector<stream::WindowJoinOp::State> CompiledQuery::export_join_state()
     const {
   std::vector<stream::WindowJoinOp::State> out;

@@ -16,8 +16,9 @@
 //    compiled predicates straight over the raw TupleBatch (the appended
 //    "<alias>.timestamp" column is virtual — read from the row timestamp),
 //    selection vectors flow between stages, join probes use per-side hash
-//    indexes on extracted equality columns, and tuples are only
-//    materialized entering join state or the published result batch.
+//    indexes on extracted equality columns (or a binary-searched range on
+//    a time-band conjunct), and tuples are only materialized entering join
+//    state or the published result batch.
 // A query whose sources share one stream keeps scalar taps only: with two
 // taps on one stream, batch-at-a-time delivery would reorder the per-row
 // left/right interleaving a self-join depends on.
@@ -63,6 +64,10 @@ class CompiledQuery {
   /// migration cost). Safe to call only while no worker is executing the
   /// owning engine.
   [[nodiscard]] std::size_t state_tuples() const noexcept;
+
+  /// The plan's window-join operators in plan order (probe counters:
+  /// emitted(), candidates()). Same safety rule as state_tuples().
+  [[nodiscard]] std::vector<const stream::WindowJoinOp*> joins() const;
 
   /// Snapshot / restore of the plan's window-join state, one entry per
   /// join-bearing stage in plan order. Plan construction is deterministic

@@ -305,9 +305,8 @@ bool CompiledPredicate::eval_impl(const Row* rows) const {
         break;
       }
       case Op::kTimeBand: {
-        const std::int64_t delta =
-            load_int(rows, in.a) - load_int(rows, in.b);
-        reg = delta >= 0 && delta <= in.inum;
+        const std::int64_t newer = load_int(rows, in.a);
+        reg = within_band(newer, load_int(rows, in.b), in.inum);
         break;
       }
       case Op::kNot:
@@ -456,6 +455,27 @@ FilterSplit split_const_conjuncts(const PredicatePtr& p,
   return out;
 }
 
+namespace {
+
+/// Empty-alias refs resolve by scanning bindings in order, so the probe
+/// direction (incoming side first) changes the scan order; a join index
+/// key is only sound when a ref lands on the same physical slot either way.
+/// `flipped` is `bindings` reversed.
+std::optional<FieldSlot> resolve_stable(
+    const FieldRef& ref, const std::vector<BindingSpec>& bindings,
+    const std::vector<BindingSpec>& flipped) {
+  const auto fwd = resolve_slot(ref, bindings);
+  if (!fwd) return std::nullopt;
+  auto rev = resolve_slot(ref, flipped);
+  if (!rev) return std::nullopt;
+  rev->binding =
+      static_cast<std::uint32_t>(bindings.size()) - 1 - rev->binding;
+  if (*rev != *fwd) return std::nullopt;
+  return fwd;
+}
+
+}  // namespace
+
 JoinSplit split_equi_conjuncts(const PredicatePtr& p,
                                const std::vector<BindingSpec>& bindings) {
   JoinSplit out;
@@ -464,29 +484,14 @@ JoinSplit split_equi_conjuncts(const PredicatePtr& p,
     out.residual = p;  // non-conjunctive: nothing extractable
     return out;
   }
-  // Empty-alias refs resolve by scanning bindings in order, so the probe
-  // direction (incoming side first) changes the scan order; a key is only
-  // sound when both refs land on the same physical slots either way.
-  std::vector<BindingSpec> flipped{bindings.rbegin(), bindings.rend()};
-  const auto resolve_stable =
-      [&](const FieldRef& ref) -> std::optional<FieldSlot> {
-    const auto fwd = resolve_slot(ref, bindings);
-    if (!fwd) return std::nullopt;
-    auto rev = resolve_slot(ref, flipped);
-    if (!rev) return std::nullopt;
-    rev->binding = static_cast<std::uint32_t>(bindings.size()) - 1 -
-                   rev->binding;
-    if (*rev != *fwd) return std::nullopt;
-    return fwd;
-  };
-
+  const std::vector<BindingSpec> flipped{bindings.rbegin(), bindings.rend()};
   std::vector<PredicatePtr> residual;
   for (const PredicatePtr& c : conjuncts) {
     if (c->kind() == Predicate::Kind::kCompareField) {
       const auto& cf = static_cast<const CompareField&>(*c);
       if (cf.op() == CmpOp::kEq) {
-        const auto a = resolve_stable(cf.lhs());
-        const auto b = resolve_stable(cf.rhs());
+        const auto a = resolve_stable(cf.lhs(), bindings, flipped);
+        const auto b = resolve_stable(cf.rhs(), bindings, flipped);
         if (a && b && a->binding != b->binding) {
           const bool a_str = slot_type(*a, bindings) == ValueType::kString;
           const bool b_str = slot_type(*b, bindings) == ValueType::kString;
@@ -501,6 +506,39 @@ JoinSplit split_equi_conjuncts(const PredicatePtr& p,
     residual.push_back(c);
   }
   out.residual = Predicate::conj(std::move(residual));
+  return out;
+}
+
+BandSplit split_band_conjunct(const PredicatePtr& p,
+                              const std::vector<BindingSpec>& bindings) {
+  BandSplit out;
+  out.residual = p;
+  std::vector<PredicatePtr> conjuncts;
+  const std::vector<BindingSpec> flipped{bindings.rbegin(), bindings.rend()};
+  if (!collect_conjuncts(p, conjuncts) ||
+      !statically_well_typed(p, bindings) ||
+      !statically_well_typed(p, flipped)) {
+    return out;
+  }
+  for (std::size_t i = 0; i < conjuncts.size(); ++i) {
+    if (conjuncts[i]->kind() != Predicate::Kind::kTimeBand) continue;
+    const auto& tb = static_cast<const TimeBand&>(*conjuncts[i]);
+    if (tb.band_ms() < 0) continue;
+    const auto newer = resolve_stable(tb.newer(), bindings, flipped);
+    const auto older = resolve_stable(tb.older(), bindings, flipped);
+    if (!newer || !older || newer->binding == older->binding ||
+        slot_type(*newer, bindings) != ValueType::kInt ||
+        slot_type(*older, bindings) != ValueType::kInt) {
+      continue;
+    }
+    const bool left_is_newer = newer->binding == 0;
+    out.band = BandKey{left_is_newer ? *newer : *older,
+                       left_is_newer ? *older : *newer, left_is_newer,
+                       tb.band_ms()};
+    conjuncts.erase(conjuncts.begin() + static_cast<std::ptrdiff_t>(i));
+    out.residual = Predicate::conj(std::move(conjuncts));
+    return out;
+  }
   return out;
 }
 

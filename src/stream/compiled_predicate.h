@@ -259,4 +259,29 @@ struct JoinSplit {
 [[nodiscard]] JoinSplit split_equi_conjuncts(
     const PredicatePtr& p, const std::vector<BindingSpec>& bindings);
 
+/// A time-band conjunct a range probe can serve: `0 <= newer - older <=
+/// band_ms` with one operand per side, both declared int (the timestamp
+/// pseudo-field or an int column).
+struct BandKey {
+  FieldSlot left;   ///< the operand read from the left binding
+  FieldSlot right;  ///< the operand read from the right binding
+  bool left_is_newer = false;
+  std::int64_t band_ms = 0;
+};
+
+/// Splits the first top-level TimeBand conjunct a range probe can serve out
+/// of a join predicate over bindings [left, right]. The conjunct qualifies
+/// when band_ms >= 0 and its refs resolve stably (as for equi keys) to int
+/// slots of different bindings; the split is only made when the whole
+/// predicate is statically well-typed under both binding orders, so a probe
+/// that skips out-of-band candidates cannot skip a throw on conforming
+/// rows. `residual` is the predicate minus that conjunct, conjunct order
+/// kept; without a band it is `p` itself.
+struct BandSplit {
+  std::optional<BandKey> band;
+  PredicatePtr residual;
+};
+[[nodiscard]] BandSplit split_band_conjunct(
+    const PredicatePtr& p, const std::vector<BindingSpec>& bindings);
+
 }  // namespace cosmos::stream

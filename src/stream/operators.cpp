@@ -1,5 +1,6 @@
 #include "stream/operators.h"
 
+#include <algorithm>
 #include <functional>
 #include <stdexcept>
 
@@ -118,21 +119,30 @@ WindowJoinOp::WindowJoinOp(Side left, Side right, PredicatePtr predicate,
       predicate_ == nullptr || !sink_) {
     throw std::invalid_argument{"WindowJoinOp: null argument"};
   }
-  // Compile-time plan: resolve every field, split out hash-joinable
-  // equality conjuncts, and build one probe program per incoming direction
-  // (the evaluation env is [incoming side, other side], so the binding
-  // order flips with the direction).
+  // Compile-time plan: resolve every field, pick the access path (hash on
+  // equality conjuncts, else range on a time band, else scan), and build
+  // one probe program per incoming direction (the evaluation env is
+  // [incoming side, other side], so the binding order flips with the
+  // direction).
   const std::vector<BindingSpec> lr{{left_.alias, left_.schema, SIZE_MAX},
                                     {right_.alias, right_.schema, SIZE_MAX}};
   const std::vector<BindingSpec> rl{{right_.alias, right_.schema, SIZE_MAX},
                                     {left_.alias, left_.schema, SIZE_MAX}};
-  JoinSplit split = split_equi_conjuncts(predicate_, lr);
   full_left_in_ = CompiledPredicate::compile(predicate_, lr);
   full_right_in_ = CompiledPredicate::compile(predicate_, rl);
-  residual_left_in_ = CompiledPredicate::compile(split.residual, lr);
-  residual_right_in_ = CompiledPredicate::compile(split.residual, rl);
+  JoinSplit split = split_equi_conjuncts(predicate_, lr);
   keys_ = std::move(split.keys);
   hash_enabled_ = options_.use_hash_index && !keys_.empty();
+  PredicatePtr residual = std::move(split.residual);
+  if (options_.use_hash_index && !hash_enabled_) {
+    BandSplit band = split_band_conjunct(predicate_, lr);
+    band_ = band.band;
+    residual = std::move(band.residual);
+  }
+  if (hash_enabled_ || band_) {
+    residual_left_in_ = CompiledPredicate::compile(residual, lr);
+    residual_right_in_ = CompiledPredicate::compile(residual, rl);
+  }
 }
 
 void WindowJoinOp::push_left(const Tuple& t) {
@@ -198,15 +208,12 @@ void WindowJoinOp::import_state(State state) {
     rt.index.clear();
     rt.first_seq = 0;
     rt.next_seq = 0;
-    for (Tuple& t : tuples) {
-      // Same insert path as push_one, sans probe: buckets end up holding
-      // ascending seqs, which prune_side's pop-front relies on.
-      if (hash_enabled_) {
-        rt.index[key_hash(t, is_left)].push_back(rt.next_seq);
-      }
-      ++rt.next_seq;
-      rt.buf.push_back(std::move(t));
-    }
+    rt.last_key = INT64_MIN;
+    rt.ordered_from = 0;
+    // Same insert path as push_one, sans probe: buckets end up holding
+    // ascending seqs, which prune_side's pop-front relies on, and the
+    // band-key order is tracked exactly as live inserts track it.
+    for (Tuple& t : tuples) insert(rt, std::move(t), is_left);
   };
   load(std::move(state.left), left_rt_, /*is_left=*/true);
   load(std::move(state.right), right_rt_, /*is_left=*/false);
@@ -243,16 +250,43 @@ std::size_t WindowJoinOp::key_hash(const Tuple& t, bool of_left) const {
   return h;
 }
 
+bool WindowJoinOp::band_key(const Tuple& t, bool of_left,
+                            std::int64_t& out) const noexcept {
+  const FieldSlot& slot = of_left ? band_->left : band_->right;
+  if (slot.col == FieldSlot::kTsCol) {
+    out = t.ts;
+    return true;
+  }
+  if (slot.col >= t.values.size()) return false;
+  const Value& v = t.values[slot.col];
+  if (v.type() != ValueType::kInt) return false;
+  out = v.as_int();
+  return true;
+}
+
+void WindowJoinOp::insert(SideRuntime& s, Tuple t, bool is_left) {
+  if (hash_enabled_) s.index[key_hash(t, is_left)].push_back(s.next_seq);
+  if (band_) {
+    std::int64_t k = 0;
+    if (!band_key(t, is_left, k)) {
+      // An unreadable key orders with nothing: range probes wait until
+      // this tuple itself is pruned.
+      s.ordered_from = s.next_seq + 1;
+      s.last_key = INT64_MIN;
+    } else {
+      if (k < s.last_key) s.ordered_from = s.next_seq;
+      s.last_key = k;
+    }
+  }
+  ++s.next_seq;
+  s.buf.push_back(std::move(t));
+}
+
 void WindowJoinOp::push_one(Tuple t, bool is_left,
                             runtime::TupleBatch* batch_out) {
   advance_watermark(t.ts);
   probe(t, is_left, batch_out);
-  SideRuntime& own = is_left ? left_rt_ : right_rt_;
-  if (hash_enabled_) {
-    own.index[key_hash(t, is_left)].push_back(own.next_seq);
-  }
-  ++own.next_seq;
-  own.buf.push_back(std::move(t));
+  insert(is_left ? left_rt_ : right_rt_, std::move(t), is_left);
 }
 
 void WindowJoinOp::probe(const Tuple& incoming, bool incoming_is_left,
@@ -269,6 +303,7 @@ void WindowJoinOp::probe(const Tuple& incoming, bool incoming_is_left,
     Value sa;
     Value sb;
     for (const std::uint64_t seq : it->second) {
+      ++candidates_;
       const Tuple& cand =
           other.buf[static_cast<std::size_t>(seq - other.first_seq)];
       if (!other_side.window.contains(cand.ts, incoming.ts)) continue;
@@ -291,14 +326,60 @@ void WindowJoinOp::probe(const Tuple& incoming, bool incoming_is_left,
     return;
   }
 
+  if (band_ && probe_band(incoming, incoming_is_left, batch_out)) return;
+
   const CompiledPredicate& full =
       incoming_is_left ? full_left_in_ : full_right_in_;
+  candidates_ += other.buf.size();
   for (const Tuple& cand : other.buf) {
     if (!other_side.window.contains(cand.ts, incoming.ts)) continue;
     if (!full.eval(incoming, cand)) continue;
     emit(incoming_is_left ? incoming : cand,
          incoming_is_left ? cand : incoming, batch_out);
   }
+}
+
+bool WindowJoinOp::probe_band(const Tuple& incoming, bool incoming_is_left,
+                              runtime::TupleBatch* batch_out) {
+  const SideRuntime& other = incoming_is_left ? right_rt_ : left_rt_;
+  std::int64_t k = 0;
+  if (other.ordered_from > other.first_seq ||
+      !band_key(incoming, incoming_is_left, k)) {
+    return false;
+  }
+  // Candidate keys o satisfy 0 <= newer - older <= band: o in [k - band, k]
+  // when the incoming side is newer, o in [k, k + band] otherwise, with
+  // the bounds saturated instead of overflowing.
+  const std::int64_t band = band_->band_ms;
+  std::int64_t lo = k;
+  std::int64_t hi = k;
+  if (incoming_is_left == band_->left_is_newer) {
+    lo = k < INT64_MIN + band ? INT64_MIN : k - band;
+  } else {
+    hi = k > INT64_MAX - band ? INT64_MAX : k + band;
+  }
+  // Every buffered key was readable and they are non-decreasing, so the
+  // range is one contiguous run of the buffer.
+  const FieldSlot& slot = incoming_is_left ? band_->right : band_->left;
+  const auto key_of = [&slot](const Tuple& c) {
+    return slot.col == FieldSlot::kTsCol ? std::int64_t{c.ts}
+                                         : c.values[slot.col].as_int();
+  };
+  const WindowSpec& window = incoming_is_left ? right_.window : left_.window;
+  const CompiledPredicate& residual =
+      incoming_is_left ? residual_left_in_ : residual_right_in_;
+  for (auto it = std::partition_point(
+           other.buf.begin(), other.buf.end(),
+           [&](const Tuple& c) { return key_of(c) < lo; });
+       it != other.buf.end() && key_of(*it) <= hi; ++it) {
+    ++candidates_;
+    const Tuple& cand = *it;
+    if (!window.contains(cand.ts, incoming.ts)) continue;
+    if (!residual.eval(incoming, cand)) continue;
+    emit(incoming_is_left ? incoming : cand,
+         incoming_is_left ? cand : incoming, batch_out);
+  }
+  return true;
 }
 
 void WindowJoinOp::emit(const Tuple& lt, const Tuple& rt,

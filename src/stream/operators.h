@@ -19,6 +19,7 @@
 #include <deque>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -110,15 +111,29 @@ class ProjectOp {
 /// watermark-pruned state no longer matching, where the old arrival-driven
 /// prune would have (under-pruned) state still joining.
 ///
-/// At construction the predicate's equality conjuncts over opposite sides
-/// are extracted (split_equi_conjuncts) and each side keeps a hash index on
-/// its key columns; probes then touch only key-equal candidates and re-check
-/// the window plus the compiled residual predicate, falling back to the
-/// O(window) scan (with the full compiled predicate) when no equality
-/// conjunct exists or Options::use_hash_index is off. Both buffers are
-/// pruned eagerly whenever the watermark — the max timestamp seen on either
-/// input — advances, so an idle opposite side no longer pins stale state
-/// (state_size feeds the migration planner's cost model).
+/// The access path is chosen once, at construction, from the predicate:
+///  - hash: equality conjuncts over opposite sides (split_equi_conjuncts)
+///    give each side a hash index on its key columns; a probe touches only
+///    its bucket and re-checks the window, the keys and the compiled
+///    residual;
+///  - band range: otherwise, a time-band conjunct over int operands of
+///    opposite sides (split_band_conjunct) bounds the other side's key to
+///    [k - band, k] when the incoming side is the band's newer operand and
+///    to [k, k + band] when it is the older; a probe binary-searches the
+///    buffer for that range and re-checks the window and the residual
+///    inside it only;
+///  - scan: otherwise, or with Options::use_hash_index off, every buffered
+///    tuple of the other side is checked against the window and the full
+///    compiled predicate.
+/// Every path visits candidates in buffer order, so all three emit the same
+/// sequence. The band key is a column value, not the row timestamp, so its
+/// order is not given: each side records, per insert, the oldest seq from
+/// which its keys are non-decreasing, and a probe whose other side still
+/// buffers an order break (or whose own key is not an int) scans instead.
+/// Both buffers are pruned eagerly whenever the watermark — the max
+/// timestamp seen on either input — advances, so an idle opposite side no
+/// longer pins stale state (state_size feeds the migration planner's cost
+/// model).
 class WindowJoinOp {
  public:
   struct Side {
@@ -127,8 +142,9 @@ class WindowJoinOp {
     WindowSpec window;
   };
   struct Options {
-    /// Off forces the scanning probe everywhere — the semantic oracle the
-    /// hash path is differentially tested (and benched) against.
+    /// Off forces the scanning probe everywhere, for equi and band
+    /// predicates alike — the semantic oracle both index paths are
+    /// differentially tested (and benched) against.
     bool use_hash_index = true;
   };
 
@@ -159,10 +175,10 @@ class WindowJoinOp {
 
   /// Serializable snapshot of the operator's live state: the watermark and
   /// both window buffers in arrival (== timestamp) order. This is the
-  /// payload a migration ships; the hash index and sequence counters are
-  /// derived state that import_state rebuilds by replaying the insert path,
-  /// so export → import on an identically-constructed operator reproduces
-  /// bit-identical future behavior.
+  /// payload a migration ships; the hash index, band-key order and sequence
+  /// counters are derived state that import_state rebuilds by replaying the
+  /// insert path, so export → import on an identically-constructed operator
+  /// reproduces bit-identical future behavior.
   struct State {
     Timestamp watermark = INT64_MIN;
     std::vector<Tuple> left;
@@ -180,7 +196,10 @@ class WindowJoinOp {
     return right_rt_.buf.size();
   }
   [[nodiscard]] std::size_t emitted() const noexcept { return emitted_; }
-  /// Number of extracted equality conjuncts (0 = scanning probe).
+  /// Buffered tuples the probes examined (window check and predicate),
+  /// summed over all probes: emitted() over this is the probe hit rate.
+  [[nodiscard]] std::size_t candidates() const noexcept { return candidates_; }
+  /// Number of extracted equality conjuncts (0 = no hash path).
   [[nodiscard]] std::size_t equi_key_count() const noexcept {
     return keys_.size();
   }
@@ -192,6 +211,11 @@ class WindowJoinOp {
     std::uint64_t next_seq = 0;   ///< seq the next insert receives
     /// Equi-key hash -> ascending seqs of buffered tuples with that hash.
     std::unordered_map<std::size_t, std::deque<std::uint64_t>> index;
+    /// Band path: the last inserted band key, and the lowest seq from
+    /// which buffered band keys are known non-decreasing (a range probe
+    /// needs ordered_from <= first_seq).
+    std::int64_t last_key = INT64_MIN;
+    std::uint64_t ordered_from = 0;
   };
 
   void push_one(Tuple t, bool is_left, runtime::TupleBatch* batch_out);
@@ -199,11 +223,19 @@ class WindowJoinOp {
                        const std::vector<std::uint32_t>* sel,
                        bool lift_append_ts, bool is_left,
                        runtime::TupleBatch& out);
+  void insert(SideRuntime& s, Tuple t, bool is_left);
   void probe(const Tuple& incoming, bool incoming_is_left,
              runtime::TupleBatch* batch_out);
+  /// The band range probe; false (nothing examined) when the other side's
+  /// keys are not ordered or the incoming key is unreadable.
+  bool probe_band(const Tuple& incoming, bool incoming_is_left,
+                  runtime::TupleBatch* batch_out);
   void emit(const Tuple& lt, const Tuple& rt, runtime::TupleBatch* batch_out);
   void prune_side(SideRuntime& s, const WindowSpec& window, bool is_left);
   [[nodiscard]] std::size_t key_hash(const Tuple& t, bool of_left) const;
+  /// Reads `t`'s band operand into `out`; false unless it is an int.
+  [[nodiscard]] bool band_key(const Tuple& t, bool of_left,
+                              std::int64_t& out) const noexcept;
 
   Side left_;
   Side right_;
@@ -211,9 +243,10 @@ class WindowJoinOp {
   Sink sink_;
   Options options_;
   std::vector<EquiKey> keys_;
+  std::optional<BandKey> band_;  ///< set iff the band range path is on
   /// Probe programs per incoming direction (bindings [incoming, other]):
-  /// the full predicate for the scanning probe, the post-equi residual for
-  /// the hash probe.
+  /// the full predicate for the scanning probe, and the residual of the
+  /// index path in use (the predicate minus the equi keys or the band).
   CompiledPredicate full_left_in_;
   CompiledPredicate full_right_in_;
   CompiledPredicate residual_left_in_;
@@ -224,6 +257,7 @@ class WindowJoinOp {
   SideRuntime right_rt_;
   std::vector<Value> row_scratch_;  ///< reused per emitted row
   std::size_t emitted_ = 0;
+  std::size_t candidates_ = 0;
 };
 
 }  // namespace cosmos::stream

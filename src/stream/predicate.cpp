@@ -89,8 +89,7 @@ PredicatePtr Predicate::time_band(FieldRef newer, FieldRef older,
 bool TimeBand::eval(const std::vector<Binding>& env) const {
   const std::int64_t tn = resolve_field(newer_, env).as_int();
   const std::int64_t to = resolve_field(older_, env).as_int();
-  const std::int64_t delta = tn - to;
-  return delta >= 0 && delta <= band_ms_;
+  return within_band(tn, to, band_ms_);
 }
 
 std::string TimeBand::to_string() const {

@@ -123,7 +123,16 @@ class CompareField final : public Predicate {
   FieldRef rhs_;
 };
 
-/// 0 <= newer - older <= band_ms.
+/// 0 <= newer - older <= band, computed without signed overflow: a
+/// difference that does not fit int64 lies outside every band.
+[[nodiscard]] inline bool within_band(std::int64_t newer, std::int64_t older,
+                                      std::int64_t band) noexcept {
+  std::int64_t delta = 0;
+  if (__builtin_sub_overflow(newer, older, &delta)) return false;
+  return delta >= 0 && delta <= band;
+}
+
+/// 0 <= newer - older <= band_ms (see within_band).
 class TimeBand final : public Predicate {
  public:
   TimeBand(FieldRef newer, FieldRef older, std::int64_t band_ms)

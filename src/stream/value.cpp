@@ -2,19 +2,7 @@
 
 namespace cosmos::stream {
 
-double Value::as_double() const {
-  if (const auto* i = std::get_if<std::int64_t>(&v_)) {
-    return static_cast<double>(*i);
-  }
-  if (const auto* d = std::get_if<double>(&v_)) return *d;
-  throw std::logic_error{"Value: string has no numeric view"};
-}
-
-std::int64_t Value::as_int() const {
-  if (const auto* i = std::get_if<std::int64_t>(&v_)) return *i;
-  if (const auto* d = std::get_if<double>(&v_)) {
-    return static_cast<std::int64_t>(*d);
-  }
+void Value::throw_not_numeric() {
   throw std::logic_error{"Value: string has no numeric view"};
 }
 

@@ -38,9 +38,22 @@ class Value {
     return type() != ValueType::kString;
   }
 
-  /// Numeric view; throws std::logic_error for strings.
-  [[nodiscard]] double as_double() const;
-  [[nodiscard]] std::int64_t as_int() const;
+  /// Numeric view; throws std::logic_error for strings. The numeric cases
+  /// are inline: band-key reads and compiled compares sit on them.
+  [[nodiscard]] double as_double() const {
+    if (const auto* i = std::get_if<std::int64_t>(&v_)) {
+      return static_cast<double>(*i);
+    }
+    if (const auto* d = std::get_if<double>(&v_)) return *d;
+    throw_not_numeric();
+  }
+  [[nodiscard]] std::int64_t as_int() const {
+    if (const auto* i = std::get_if<std::int64_t>(&v_)) return *i;
+    if (const auto* d = std::get_if<double>(&v_)) {
+      return static_cast<std::int64_t>(*d);
+    }
+    throw_not_numeric();
+  }
   [[nodiscard]] const std::string& as_string() const;
 
   /// Three-way comparison; throws std::logic_error on string-vs-numeric.
@@ -91,6 +104,8 @@ class Value {
   }
 
  private:
+  [[noreturn]] static void throw_not_numeric();
+
   std::variant<std::int64_t, double, std::string> v_;
 };
 

@@ -120,6 +120,41 @@ TEST_F(PlanTest, DestructorDetachesTaps) {
   EXPECT_EQ(engine_.published_count("tmp"), before);
 }
 
+TEST_F(PlanTest, SensorBandJoinTakesRangeProbe) {
+  // The benchmark's two-station sensor join: a 45 s band on the physical
+  // timestamp columns plus a theta comparison, no equality key. The plan
+  // must hand the join a predicate whose band the operator can range-probe;
+  // a rewrite that hides the band would fall back to scanning the 60 min
+  // S1 window (hundreds of candidates per probe) and fail here.
+  QuerySpec spec;
+  spec.sources = {{"Station1", "S1", stream::WindowSpec::range_millis(3'600'000)},
+                  {"Station2", "S2", stream::WindowSpec::range_millis(120'000)}};
+  spec.select = {{"S1", "snowHeight"}, {"S2", "timestamp"}};
+  spec.where = stream::Predicate::conj(
+      {stream::Predicate::time_band({"S2", "timestamp"}, {"S1", "timestamp"},
+                                    45'000),
+       stream::Predicate::cmp(stream::FieldRef{"S1", "snowHeight"},
+                              stream::CmpOp::kGt,
+                              stream::FieldRef{"S2", "snowHeight"})});
+  CompiledQuery cq{engine_, spec, "band"};
+  sim::SensorTraceParams p;
+  p.stations = 2;
+  p.readings_per_station = 600;
+  p.period_ms = 10'000;
+  Rng rng{3};
+  for (const auto& r : sim::make_sensor_trace(p, rng)) {
+    engine_.publish(sim::station_stream_name(r.station), r.tuple);
+  }
+  const auto joins = cq.joins();
+  ASSERT_EQ(joins.size(), 1u);
+  const stream::WindowJoinOp& join = *joins.front();
+  EXPECT_EQ(join.emitted(), cq.results_emitted());
+  ASSERT_GT(join.emitted(), 0u);
+  EXPECT_LE(join.candidates(), 6 * join.emitted())
+      << join.candidates() << " candidates for " << join.emitted()
+      << " emitted";
+}
+
 TEST_F(PlanTest, UnknownSelectColumnThrows) {
   auto q = cql::parse_query("SELECT nope FROM Station1 [Now] S1");
   EXPECT_THROW(CompiledQuery(engine_, q, "x"), std::invalid_argument);

@@ -355,6 +355,57 @@ TEST(EquiSplit, RejectsRefsThatFlipSidesWithBindingOrder) {
   EXPECT_EQ(ok.keys[0].right, (FieldSlot{1, 1}));  // R.u
 }
 
+TEST(BandSplit, ExtractsFirstServableTimeBand) {
+  const Schema ls = left_schema();
+  const Schema rs = right_schema();
+  const std::vector<BindingSpec> bindings{{"L", &ls, SIZE_MAX},
+                                          {"R", &rs, SIZE_MAX}};
+  const auto p = Predicate::conj(
+      {Predicate::cmp(FieldRef{"L", "b"}, CmpOp::kGt, FieldRef{"R", "y"}),
+       Predicate::time_band({"R", "x"}, {"L", "timestamp"}, 45),
+       Predicate::time_band({"L", "a"}, {"R", "x"}, 7)});
+  const auto split = split_band_conjunct(p, bindings);
+  ASSERT_TRUE(split.band.has_value());
+  EXPECT_EQ(split.band->left, (FieldSlot{0, FieldSlot::kTsCol}));
+  EXPECT_EQ(split.band->right, (FieldSlot{1, 0}));  // R.x
+  EXPECT_FALSE(split.band->left_is_newer);
+  EXPECT_EQ(split.band->band_ms, 45);
+  EXPECT_EQ(split.residual->to_string(),
+            "(L.b > R.y AND 0 <= L.a - R.x <= 7)");
+}
+
+TEST(BandSplit, RejectsUnservableBands) {
+  const Schema ls = left_schema();
+  const Schema rs = right_schema();
+  const std::vector<BindingSpec> bindings{{"L", &ls, SIZE_MAX},
+                                          {"R", &rs, SIZE_MAX}};
+  const auto rejected = [&](const PredicatePtr& p) {
+    const auto split = split_band_conjunct(p, bindings);
+    return !split.band && split.residual == p;
+  };
+  // Same-side band: a filter, not a join range.
+  EXPECT_TRUE(rejected(Predicate::time_band({"L", "a"}, {"L", "timestamp"}, 5)));
+  // A double operand truncates through as_int: not an int key.
+  EXPECT_TRUE(rejected(Predicate::time_band({"L", "b"}, {"R", "x"}, 5)));
+  // A negative band admits nothing; the scan says so just as well.
+  EXPECT_TRUE(rejected(Predicate::time_band({"L", "a"}, {"R", "x"}, -1)));
+  // A conjunct that may throw (string vs numeric) must stay reachable for
+  // every candidate, so the band may not prune ahead of it.
+  EXPECT_TRUE(rejected(Predicate::conj(
+      {Predicate::time_band({"L", "a"}, {"R", "x"}, 5),
+       Predicate::cmp(FieldRef{"L", "s"}, CmpOp::kGt, FieldRef{"R", "y"})})));
+  // Non-conjunctive trees are untouched.
+  EXPECT_TRUE(rejected(Predicate::disj(
+      {Predicate::time_band({"L", "a"}, {"R", "x"}, 5),
+       Predicate::always_true()})));
+  // An empty-alias ref both schemas resolve flips sides with the order.
+  const Schema both{{{"v", ValueType::kInt}}};
+  const std::vector<BindingSpec> ambiguous{{"L", &both, SIZE_MAX},
+                                           {"R", &both, SIZE_MAX}};
+  const auto p = Predicate::time_band({"", "v"}, {"R", "v"}, 5);
+  EXPECT_FALSE(split_band_conjunct(p, ambiguous).band.has_value());
+}
+
 TEST(ConstSplit, ExtractsSingleColumnConstantConjuncts) {
   const Schema ls = left_schema();
   const std::vector<BindingSpec> bindings{{"", &ls, SIZE_MAX}};
