@@ -193,36 +193,43 @@ void Cosmos::deploy_unit(Unit& unit) {
   // Result stream: advertised at the host, published as the plan emits.
   broker_.advertise(unit.result_stream, unit.host,
                     unit.plan->result_schema());
+  unit.result_partition = broker_.partition(unit.result_stream);
   unit.result_tap = engine.attach(
-      unit.result_stream, [this, rs = unit.result_stream](
+      unit.result_stream, [this, part = unit.result_partition](
                               const stream::Tuple& t) {
         // In run() mode this tap fires on a shard worker thread: park the
         // result for the driver, which owns the broker and the callbacks.
         // The executing task's ingest stamp rides along so the driver can
         // measure ingest-to-delivery latency at the p2 leg.
         if (active_results_ != nullptr) {
-          active_results_->push({rs, t, runtime::current_task_ingest_ns()});
+          active_results_->push({part, t, runtime::current_task_ingest_ns()});
           return;
         }
-        deliver_result(rs, t);
+        deliver_result(*part, t);
       });
 }
 
-void Cosmos::deliver_result(const std::string& result_stream,
+void Cosmos::deliver_result(pubsub::BrokerPartition& result,
                             const stream::Tuple& tuple) {
-  broker_.publish(
-      result_stream, tuple,
-      [this](const pubsub::Subscription& sub, const pubsub::Message& msg) {
+  stream::Tuple out = std::move(p2_tuple_);
+  result.match(
+      tuple,
+      [this, &out](const pubsub::Subscription& sub,
+                   const pubsub::Message& msg) {
         const auto it = p2_owner_.find(sub.id);
         if (it == p2_owner_.end()) return;
-        auto& uq = queries_.at(it->second);
-        // Split projection happens consumer-side (cached at wire time).
-        stream::Tuple out;
+        UserQuery& uq = *it->second;
+        // Split projection happens consumer-side (cached at wire time),
+        // into the reused buffer: element-wise assignment keeps capacity.
         out.ts = msg.tuple.ts;
-        for (const auto i : uq.p2_keep) out.values.push_back(msg.tuple.at(i));
-        uq.callback(it->second, out);
+        out.values.resize(uq.p2_keep.size());
+        for (std::size_t k = 0; k < uq.p2_keep.size(); ++k) {
+          out.values[k] = msg.tuple.at(uq.p2_keep[k]);
+        }
+        uq.callback(uq.spec.id, out);
         ++results_delivered_;
       });
+  p2_tuple_ = std::move(out);
 }
 
 void Cosmos::teardown_unit(Unit& unit) {
@@ -259,7 +266,7 @@ void Cosmos::wire_member(UserQuery& uq, Unit& unit) {
   sub.filter = query::make_split_predicate(split);
   const auto sid = broker_.subscribe(std::move(sub));
   uq.p2_sub = sid;
-  p2_owner_.emplace(sid, uq.spec.id);
+  p2_owner_.emplace(sid, &uq);
 }
 
 double Cosmos::host_window_extent_ms(NodeId node) const {
@@ -528,7 +535,7 @@ Cosmos::RunReport Cosmos::run(const std::vector<runtime::TraceEvent>& events,
       // Ingest-to-delivery latency of the chunk this result came from,
       // measured here because p2 delivery completes on the driver thread.
       if (ev.ingest_ns != 0 && now > ev.ingest_ns) e2e.record(now - ev.ingest_ns);
-      deliver_result(ev.stream, ev.tuple);
+      deliver_result(*ev.partition, ev.tuple);
     }
     report.driver.deliver_cpu_seconds += thread_cpu_seconds() - cpu0;
   };
@@ -578,17 +585,23 @@ void Cosmos::push(const std::string& stream, const stream::Tuple& tuple) {
   // Several units at one host may subscribe to the same stream; the host's
   // engine must see the tuple exactly once (plans re-apply their own
   // filters).
-  std::set<NodeId> fed;
+  std::vector<NodeId> fed = std::move(push_fed_);
+  fed.clear();
   broker_.publish(stream, tuple,
                   [this, &fed](const pubsub::Subscription& sub,
                                const pubsub::Message& msg) {
                     if (p2_owner_.contains(sub.id)) return;
-                    if (!fed.insert(sub.subscriber).second) return;
+                    if (std::find(fed.begin(), fed.end(), sub.subscriber) !=
+                        fed.end()) {
+                      return;
+                    }
+                    fed.push_back(sub.subscriber);
                     auto& engine = engine_at(sub.subscriber);
                     if (engine.has_stream(msg.stream)) {
                       engine.publish(msg.stream, msg.tuple);
                     }
                   });
+  push_fed_ = std::move(fed);
 }
 
 }  // namespace cosmos::middleware

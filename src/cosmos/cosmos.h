@@ -439,6 +439,8 @@ class Cosmos {
     query::QuerySpec spec;  ///< the covering query actually running
     std::vector<QueryId> members;
     std::string result_stream;
+    /// broker_'s partition of result_stream (never erased, so stable).
+    pubsub::BrokerPartition* result_partition = nullptr;
     std::unique_ptr<query::CompiledQuery> plan;
     std::vector<SubscriptionId> p1_subs;
     std::size_t result_tap = 0;
@@ -455,7 +457,8 @@ class Cosmos {
   /// A result tuple emitted by a shard engine, pending p2 delivery on the
   /// driver thread.
   struct ResultEvent {
-    std::string stream;
+    /// Partition of the emitting unit's result stream.
+    pubsub::BrokerPartition* partition = nullptr;
     stream::Tuple tuple;
     /// Ingest stamp of the chunk that produced this result (0 if unknown);
     /// the driver records now_ns() - ingest_ns at p2 delivery.
@@ -466,8 +469,9 @@ class Cosmos {
   void deploy_unit(Unit& unit);
   void teardown_unit(Unit& unit);
   void wire_member(UserQuery& uq, Unit& unit);
-  /// p2 leg: routes a result-stream tuple to its member queries' callbacks.
-  void deliver_result(const std::string& result_stream,
+  /// p2 leg: routes a result tuple through its result stream's partition
+  /// to the unit's member queries' callbacks.
+  void deliver_result(pubsub::BrokerPartition& result,
                       const stream::Tuple& tuple);
   /// Pipelines one driver chunk through match → route → dispatch: ships
   /// each run to the shard owning its stream's broker partition for
@@ -495,8 +499,15 @@ class Cosmos {
   std::map<NodeId, std::unique_ptr<stream::Engine>> engines_;
   std::map<std::uint32_t, Unit> units_;
   std::unordered_map<QueryId, UserQuery> queries_;
-  /// p2 subscription id -> owning query (for delivery dispatch).
-  std::unordered_map<SubscriptionId, QueryId> p2_owner_;
+  /// p2 subscription id -> owning query (for delivery dispatch; queries_
+  /// is node-based, so the pointers stay valid).
+  std::unordered_map<SubscriptionId, UserQuery*> p2_owner_;
+  /// Reused buffers of push() (hosts already fed) and deliver_result()
+  /// (the projected tuple). Each call moves its buffer out and back, so a
+  /// callback that re-enters Cosmos gets fresh buffers and leaves the
+  /// caller's intact.
+  std::vector<NodeId> push_fed_;
+  stream::Tuple p2_tuple_;
   std::uint32_t next_unit_id_ = 0;
   std::uint32_t unit_version_ = 0;
   bool enable_result_sharing_ = true;

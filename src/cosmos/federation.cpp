@@ -995,6 +995,8 @@ struct Cosmos::Fed {
       }
       jw->delivered(floor);
     }
+    const std::string* stream = nullptr;
+    pubsub::BrokerPartition* part = nullptr;
     for (const auto* r : deliver) {
       const auto& ev = r->ev;
       // Close the end-to-end measurement here: p2 delivery completes on
@@ -1003,7 +1005,16 @@ struct Cosmos::Fed {
       if (ev.ingest_ns != 0 && now > ev.ingest_ns) {
         e2e->record(now - ev.ingest_ns);
       }
-      sys.deliver_result(ev.stream, ev.tuple);
+      // Results arrive in runs of one stream: resolve once per run.
+      if (stream == nullptr || *stream != ev.stream) {
+        part = sys.broker_.partition(ev.stream);
+        if (part == nullptr) {
+          throw std::invalid_argument{
+              "BrokerNetwork: publish to unadvertised " + ev.stream};
+        }
+        stream = &ev.stream;
+      }
+      sys.deliver_result(*part, ev.tuple);
       if (options.recovery.enabled) ++delivered_since_ckpt[ev.stream];
     }
     report.driver.deliver_cpu_seconds += thread_cpu_seconds() - cpu0;

@@ -47,6 +47,18 @@ BrokerNetwork::BrokerNetwork(std::vector<NodeId> participants,
     }
   }
 
+  // Per-edge link tables: latency and dense directed-link id, so routing
+  // never consults the latency matrix or a map per hop.
+  overlay_.adj_latency.resize(n);
+  overlay_.link_base.assign(n + 1, 0);
+  for (std::size_t u = 0; u < n; ++u) {
+    overlay_.link_base[u + 1] = overlay_.link_base[u] + overlay_.adj[u].size();
+    for (const auto v : overlay_.adj[u]) {
+      overlay_.adj_latency[u].push_back(overlay_.lat->latency(
+          overlay_.participants[u], overlay_.participants[v]));
+    }
+  }
+
   // Tree routing tables: BFS from each node.
   overlay_.next_hop.assign(n, std::vector<std::size_t>(n, SIZE_MAX));
   for (std::size_t src = 0; src < n; ++src) {

@@ -134,6 +134,8 @@ class BrokerNetwork {
   /// stream name -> partition; std::map keeps partitions() deterministic,
   /// unique_ptr keeps partition addresses stable across inserts (shards
   /// hold raw pointers while the facade may advertise more streams).
+  /// Invariant: partitions are never erased — callers cache
+  /// BrokerPartition pointers for the network's lifetime and rely on it.
   std::map<std::string, std::unique_ptr<BrokerPartition>> partitions_;
   std::unordered_map<SubscriptionId, Subscription> subscriptions_;
   /// stream name -> interested subscriptions (also for streams that are

@@ -1,8 +1,8 @@
 #include "pubsub/broker_partition.h"
 
 #include <algorithm>
+#include <bit>
 #include <stdexcept>
-#include <unordered_map>
 
 namespace cosmos::pubsub {
 
@@ -35,7 +35,41 @@ BrokerPartition::BrokerPartition(const Overlay& overlay, std::string stream,
       publisher_idx_(overlay.index_of(publisher)),
       schema_(std::move(schema)),
       use_index_(use_index),
-      index_(&schema_) {}
+      mask_words_((schema_.size() + 63) / 64),
+      index_(&schema_),
+      message_{stream_, &schema_, {}},
+      route_mask_(mask_words_) {
+  string_column_.reserve(schema_.size());
+  for (std::size_t i = 0; i < schema_.size(); ++i) {
+    string_column_.push_back(
+        schema_.field(i).type == stream::ValueType::kString ? 1 : 0);
+  }
+}
+
+void BrokerPartition::reserve_link_slots() {
+  if (link_traffic_.empty()) link_traffic_.resize(overlay_->link_base.back());
+}
+
+TrafficStats BrokerPartition::traffic() const {
+  TrafficStats out = totals_;
+  if (link_traffic_.empty()) return out;
+  for (std::size_t u = 0; u < overlay_->adj.size(); ++u) {
+    for (std::size_t k = 0; k < overlay_->adj[u].size(); ++k) {
+      const LinkTraffic& t = link_traffic_[overlay_->link_base[u] + k];
+      if (t.messages_sent == 0) continue;
+      out.links.emplace(
+          std::pair{overlay_->participants[u],
+                    overlay_->participants[overlay_->adj[u][k]]},
+          t);
+    }
+  }
+  return out;
+}
+
+void BrokerPartition::reset_traffic() noexcept {
+  totals_ = {};
+  std::fill(link_traffic_.begin(), link_traffic_.end(), LinkTraffic{});
+}
 
 void BrokerPartition::add_subscription(const Subscription* sub) {
   // Compile once per subscribe. Lenient: a filter referencing attributes
@@ -53,6 +87,18 @@ void BrokerPartition::add_subscription(const Subscription* sub) {
   } else {
     slot = static_cast<SubscriptionIndex::Slot>(subs_.size());
     subs_.push_back(std::move(entry));
+    masks_.resize(subs_.size() * mask_words_);
+    delivery_of_.push_back(SIZE_MAX);
+  }
+  // Projection mask: the columns message_bytes() would count for this
+  // subscriber alone (attributes the stream lacks select nothing).
+  std::uint64_t* mask = masks_.data() + slot * mask_words_;
+  std::fill(mask, mask + mask_words_, std::uint64_t{0});
+  for (std::size_t i = 0; i < schema_.size(); ++i) {
+    if (sub->projection.empty() ||
+        sub->projection.contains(schema_.field(i).name)) {
+      mask[i / 64] |= std::uint64_t{1} << (i % 64);
+    }
   }
   slot_of_.emplace(sub->id, slot);
   ++live_count_;
@@ -85,30 +131,29 @@ void BrokerPartition::match(const stream::Tuple& tuple,
   const stream::CompiledPredicate::Row row{tuple.ts, tuple.values.data(),
                                            tuple.values.size()};
   matched_.clear();
-  matched_slots_.clear();
   if (use_index_) {
-    index_.probe(row, matched_slots_);
+    index_.probe(row, matched_);
     // Candidates owe their residual; the anchor itself already held.
-    std::erase_if(matched_slots_, [this, &row](SubscriptionIndex::Slot s) {
+    std::erase_if(matched_, [this, &row](SubscriptionIndex::Slot s) {
       const auto* res = index_.residual(s);
       return res != nullptr && !res->eval(&row);
     });
     for (const auto slot : index_.scan_slots()) {
-      if (filter_matches(subs_[slot], row)) matched_slots_.push_back(slot);
+      if (filter_matches(subs_[slot], row)) matched_.push_back(slot);
     }
     // Deliveries fire in slot order, exactly like the linear scan.
-    std::sort(matched_slots_.begin(), matched_slots_.end());
-    for (const auto slot : matched_slots_) matched_.push_back(&subs_[slot]);
+    std::sort(matched_.begin(), matched_.end());
   } else {
-    for (const auto& entry : subs_) {
-      if (entry.sub != nullptr && filter_matches(entry, row)) {
-        matched_.push_back(&entry);
+    for (std::size_t s = 0; s < subs_.size(); ++s) {
+      if (subs_[s].sub != nullptr && filter_matches(subs_[s], row)) {
+        matched_.push_back(static_cast<SubscriptionIndex::Slot>(s));
       }
     }
   }
   if (matched_.empty()) return;
-  Message message{stream_, &schema_, tuple};
-  route(message, publisher_idx_, SIZE_MAX, matched_, callback);
+  reserve_link_slots();
+  message_.tuple = tuple;
+  route(publisher_idx_, SIZE_MAX, &callback);
 }
 
 void BrokerPartition::match_rows(const runtime::TupleBatch& batch) {
@@ -181,75 +226,85 @@ void BrokerPartition::match_batch(const runtime::TupleBatch& batch,
   // row-count scalar match() calls: deliveries appear in first-match
   // order, rows no subscription matched are never materialized.
   const std::size_t first_delivery = deliveries.size();
+  reserve_link_slots();
   if (row_subs_.size() < batch.size()) row_subs_.resize(batch.size());
   for (const auto slot : active_) {  // ascending => per-row lists ascending
     for (const auto r : rows_of_[slot]) row_subs_[r].push_back(slot);
   }
-  std::unordered_map<SubscriptionId, std::size_t> delivery_of;
-  Message message{stream_, &schema_, {}};
   for (std::uint32_t row = 0; row < batch.size(); ++row) {
     auto& here = row_subs_[row];
     if (here.empty()) continue;
-    matched_.clear();
     for (const auto slot : here) {
-      matched_.push_back(&subs_[slot]);
-      auto [dit, fresh] = delivery_of.try_emplace(
-          subs_[slot].sub->id, deliveries.size() - first_delivery);
-      if (fresh) deliveries.push_back({subs_[slot].sub, &batch, {}});
-      deliveries[first_delivery + dit->second].rows.push_back(row);
+      std::size_t& d = delivery_of_[slot];
+      if (d == SIZE_MAX) {
+        d = deliveries.size() - first_delivery;
+        deliveries.push_back({subs_[slot].sub, &batch, {}});
+      }
+      deliveries[first_delivery + d].rows.push_back(row);
     }
+    matched_.swap(here);
     here.clear();
-    batch.materialize(row, message.tuple);
-    route(message, publisher_idx_, SIZE_MAX, matched_,
-          [](const Subscription&, const Message&) {});
+    batch.materialize(row, message_.tuple);
+    route(publisher_idx_, SIZE_MAX, nullptr);
   }
-  for (const auto slot : active_) rows_of_[slot].clear();
+  for (const auto slot : active_) {
+    rows_of_[slot].clear();
+    delivery_of_[slot] = SIZE_MAX;
+  }
 }
 
-void BrokerPartition::route(const Message& message, std::size_t at,
-                            std::size_t came_from,
-                            const std::vector<const MatchedSub*>& matched,
-                            const DeliveryCallback& callback) {
+double BrokerPartition::masked_bytes() const {
+  double bytes = kMessageHeaderBytes;
+  for (std::size_t w = 0; w < mask_words_; ++w) {
+    for (std::uint64_t bits = route_mask_[w]; bits != 0; bits &= bits - 1) {
+      const std::size_t i = w * 64 + std::countr_zero(bits);
+      bytes += string_column_[i] != 0
+                   ? static_cast<double>(
+                         message_.tuple.at(i).as_string().size())
+                   : 8.0;
+    }
+  }
+  return bytes;
+}
+
+void BrokerPartition::route(std::size_t at, std::size_t came_from,
+                            const DeliveryCallback* callback) {
   // Local delivery.
-  for (const auto* m : matched) {
-    if (m->home == at) callback(*m->sub, message);
+  if (callback != nullptr) {
+    for (const auto slot : matched_) {
+      if (subs_[slot].home == at) (*callback)(*subs_[slot].sub, message_);
+    }
   }
   // Forward to each neighbor leading to at least one interested
   // subscription, with attributes pruned to the union of their projections
   // (early projection; one copy per link regardless of fan-out behind it).
-  static const std::set<std::string> kAllAttrs;
-  for (const auto nb : overlay_->adj[at]) {
+  // route_mask_ is consumed (masked_bytes) before the recursive call below
+  // reuses it.
+  const auto& adj = overlay_->adj[at];
+  const auto& next_hop = overlay_->next_hop[at];
+  for (std::size_t k = 0; k < adj.size(); ++k) {
+    const std::size_t nb = adj[k];
     if (nb == came_from) continue;
-    // route_attrs_ is a member scratch: its use completes (message_bytes)
-    // before the recursive call below reuses it, and each neighbor
-    // iteration re-clears it — no per-row per-neighbor set allocation.
-    route_attrs_.clear();
-    bool wants_all = false;
     bool any = false;
-    for (const auto* m : matched) {
-      if (m->home == at || overlay_->next_hop[at][m->home] != nb) continue;
+    std::fill(route_mask_.begin(), route_mask_.end(), std::uint64_t{0});
+    for (const auto slot : matched_) {
+      const std::size_t home = subs_[slot].home;
+      if (home == at || next_hop[home] != nb) continue;
       any = true;
-      if (m->sub->projection.empty()) {
-        wants_all = true;
-      } else if (!wants_all) {
-        route_attrs_.insert(m->sub->projection.begin(),
-                            m->sub->projection.end());
-      }
+      const std::uint64_t* mask = masks_.data() + slot * mask_words_;
+      for (std::size_t w = 0; w < mask_words_; ++w) route_mask_[w] |= mask[w];
     }
     if (!any) continue;
-    const double bytes =
-        message_bytes(message, wants_all ? kAllAttrs : route_attrs_);
-    const double latency = overlay_->lat->latency(overlay_->participants[at],
-                                                  overlay_->participants[nb]);
-    traffic_.bytes += bytes;
-    traffic_.weighted_cost += bytes * latency;
-    ++traffic_.messages_sent;
-    auto& link = traffic_.links[{overlay_->participants[at],
-                                 overlay_->participants[nb]}];
+    const double bytes = masked_bytes();
+    const double weighted = bytes * overlay_->adj_latency[at][k];
+    totals_.bytes += bytes;
+    totals_.weighted_cost += weighted;
+    ++totals_.messages_sent;
+    LinkTraffic& link = link_traffic_[overlay_->link_base[at] + k];
     link.bytes += bytes;
-    link.weighted_cost += bytes * latency;
+    link.weighted_cost += weighted;
     ++link.messages_sent;
-    route(message, nb, at, matched, callback);
+    route(nb, at, callback);
   }
 }
 

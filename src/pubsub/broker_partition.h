@@ -23,6 +23,16 @@
 // schema-conforming rows (the differential oracle the pubsub churn test
 // and bench_match_scale drive).
 //
+// Traffic accounting does no string or set work per row. Each slot's
+// projection is compiled once, at subscribe time, into a column mask over
+// the partition schema (64-bit words, any width; unprojected = every
+// column). Per overlay link a routed row ORs the masks of the subscribers
+// behind that link and sizes the message from the mask — message_bytes()'s
+// header and fields, summed in the same field order, so the same doubles.
+// Link latencies come from the overlay's per-edge table, and each directed
+// tree edge accumulates into its own slot; traffic() folds the slots into
+// the per-link map.
+//
 // The BrokerNetwork facade builds partitions, routes subscribe/unsubscribe
 // updates into them, and merges their traffic stats back into one view.
 #pragma once
@@ -30,7 +40,6 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <set>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -86,6 +95,12 @@ struct Overlay {
   const net::LatencyMatrix* lat = nullptr;
   std::vector<std::vector<std::size_t>> adj;       ///< tree adjacency
   std::vector<std::vector<std::size_t>> next_hop;  ///< routing table
+  /// Parallel to adj: latency of the directed link u -> adj[u][k], read
+  /// from `lat` once per edge at construction.
+  std::vector<std::vector<double>> adj_latency;
+  /// Dense id of the directed link u -> adj[u][k] is link_base[u] + k;
+  /// link_base[participants.size()] is the number of directed links.
+  std::vector<std::size_t> link_base;
 
   /// Index of `n`; throws std::invalid_argument for non-participants.
   [[nodiscard]] std::size_t index_of(NodeId n) const;
@@ -139,17 +154,16 @@ class BrokerPartition {
 
   /// Batched path: per-row matching and link accounting identical to
   /// size() scalar match() calls, but one BatchDelivery per matching
-  /// subscription carrying all of its rows at once (appended to
+  /// subscription slot carrying all of its rows at once (appended to
   /// `deliveries` in first-match order). Rows must be timestamp-ordered;
   /// violations throw std::invalid_argument naming the stream and both
   /// timestamps before any row is matched or accounted.
   void match_batch(const runtime::TupleBatch& batch,
                    std::vector<BatchDelivery>& deliveries);
 
-  [[nodiscard]] const TrafficStats& traffic() const noexcept {
-    return traffic_;
-  }
-  void reset_traffic() noexcept { traffic_ = {}; }
+  /// Totals plus the per-link map of every link that carried a message.
+  [[nodiscard]] TrafficStats traffic() const;
+  void reset_traffic() noexcept;
 
  private:
   struct MatchedSub {
@@ -165,9 +179,17 @@ class BrokerPartition {
   /// the ascending row ids its filter matched, and active_ with the slots
   /// that matched anything (ascending).
   void match_rows(const runtime::TupleBatch& batch);
-  void route(const Message& message, std::size_t at, std::size_t came_from,
-             const std::vector<const MatchedSub*>& matched,
-             const DeliveryCallback& callback);
+  /// Forwards message_ from overlay node `at` toward every matched_ slot,
+  /// accounting one copy per link; `callback` (nullable) fires at each
+  /// subscriber's home broker.
+  void route(std::size_t at, std::size_t came_from,
+             const DeliveryCallback* callback);
+  /// Allocates link_traffic_ on the first routed row, so partitions that
+  /// never route (e.g. result streams of superseded unit versions) stay
+  /// small.
+  void reserve_link_slots();
+  /// message_bytes() of message_ restricted to the columns in route_mask_.
+  [[nodiscard]] double masked_bytes() const;
 
   const Overlay* overlay_;
   std::string stream_;
@@ -175,28 +197,39 @@ class BrokerPartition {
   std::size_t publisher_idx_;
   stream::Schema schema_;
   bool use_index_;
+  /// Per schema column: 1 = string (sized by length), 0 = 8-byte numeric.
+  std::vector<char> string_column_;
+  /// 64-bit words per projection mask: ceil(schema width / 64).
+  std::size_t mask_words_;
   /// Subscription slot table: stable slot ids (freed slots are reused, not
   /// erased) so the index can reference subscriptions by position.
   std::vector<MatchedSub> subs_;
+  /// Projection mask of slot s: words [s * mask_words_, (s+1) * mask_words_).
+  std::vector<std::uint64_t> masks_;
   std::vector<SubscriptionIndex::Slot> free_slots_;
   /// id -> live slot(s); multimap because direct partition driving does
   /// not enforce the facade's id uniqueness.
   std::unordered_multimap<SubscriptionId, SubscriptionIndex::Slot> slot_of_;
   std::size_t live_count_ = 0;
   SubscriptionIndex index_;
-  TrafficStats traffic_;
+  /// Traffic totals (links left empty) and one slot per directed overlay
+  /// link, indexed by Overlay::link_base (empty until the first route).
+  TrafficStats totals_;
+  std::vector<LinkTraffic> link_traffic_;
 
   // Per-call scratch (a partition is driven by one thread at a time; see
   // the ownership note above). Buffers are reused across rows and batches
   // instead of reallocated per row.
+  Message message_;  ///< the row being routed (stream/schema set once)
   std::vector<std::vector<std::uint32_t>> cand_rows_;   ///< per slot
   std::vector<std::vector<std::uint32_t>> rows_of_;     ///< per slot
   std::vector<std::vector<SubscriptionIndex::Slot>> row_subs_;  ///< per row
+  /// Per slot: this batch's delivery index, or SIZE_MAX.
+  std::vector<std::size_t> delivery_of_;
   std::vector<SubscriptionIndex::Slot> touched_;
   std::vector<SubscriptionIndex::Slot> active_;
-  std::vector<SubscriptionIndex::Slot> matched_slots_;
-  std::vector<const MatchedSub*> matched_;
-  std::set<std::string> route_attrs_;  ///< projection-union scratch
+  std::vector<SubscriptionIndex::Slot> matched_;  ///< the routed row's slots
+  std::vector<std::uint64_t> route_mask_;  ///< projection union of one link
 };
 
 }  // namespace cosmos::pubsub

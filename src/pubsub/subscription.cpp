@@ -16,8 +16,7 @@ bool Subscription::matches(const stream::Schema& schema,
 
 double message_bytes(const Message& message,
                      const std::set<std::string>& attrs) {
-  constexpr double kHeader = 16.0;
-  double bytes = kHeader;
+  double bytes = kMessageHeaderBytes;
   for (std::size_t i = 0; i < message.schema->size(); ++i) {
     const auto& field = message.schema->field(i);
     if (!attrs.empty() && !attrs.contains(field.name)) continue;

@@ -42,9 +42,13 @@ struct Message {
   stream::Tuple tuple;
 };
 
+/// Fixed per-message header of the traffic model.
+inline constexpr double kMessageHeaderBytes = 16.0;
+
 /// Serialized size in bytes of the tuple restricted to `attrs` (empty =
 /// all): 8 bytes per numeric, string length for strings, plus a fixed
-/// header. This drives the traffic accounting.
+/// header. This is the traffic model; BrokerPartition applies it through
+/// precompiled column masks, summing the same fields in the same order.
 [[nodiscard]] double message_bytes(const Message& message,
                                    const std::set<std::string>& attrs);
 

@@ -47,7 +47,9 @@ std::size_t Engine::attach(const std::string& name, Tap tap) {
   if (!tap) throw std::invalid_argument{"Engine: null tap"};
   auto& st = state(name);
   const std::size_t id = st.next_tap_id++;
-  st.taps.push_back({id, std::move(tap), nullptr});
+  auto taps = std::make_shared<TapList>(*st.taps);
+  taps->push_back({id, std::move(tap), nullptr});
+  st.taps = std::move(taps);
   return id;
 }
 
@@ -58,13 +60,17 @@ std::size_t Engine::attach(const std::string& name, BatchTap batch,
   }
   auto& st = state(name);
   const std::size_t id = st.next_tap_id++;
-  st.taps.push_back({id, std::move(scalar), std::move(batch)});
+  auto taps = std::make_shared<TapList>(*st.taps);
+  taps->push_back({id, std::move(scalar), std::move(batch)});
+  st.taps = std::move(taps);
   return id;
 }
 
 void Engine::detach(const std::string& name, std::size_t tap_id) {
   auto& st = state(name);
-  std::erase_if(st.taps, [tap_id](const auto& e) { return e.id == tap_id; });
+  auto taps = std::make_shared<TapList>(*st.taps);
+  std::erase_if(*taps, [tap_id](const auto& e) { return e.id == tap_id; });
+  st.taps = std::move(taps);
 }
 
 void Engine::publish(const std::string& name, const Tuple& t) {
@@ -72,10 +78,10 @@ void Engine::publish(const std::string& name, const Tuple& t) {
   if (t.ts < st.last_ts) throw_out_of_order(name, t.ts, st.last_ts);
   st.last_ts = t.ts;
   ++st.published;
-  // Copy the tap list: a tap may attach/detach while we iterate (a query
-  // result published downstream may register new consumers).
+  // Pin the current tap list: a tap may attach/detach while we iterate (a
+  // query result published downstream may register new consumers).
   const auto taps = st.taps;
-  for (const auto& e : taps) e.scalar(t);
+  for (const auto& e : *taps) e.scalar(t);
 }
 
 void Engine::publish_batch(const std::string& name,
@@ -97,12 +103,12 @@ void Engine::publish_batch(const std::string& name,
   }
   st.last_ts = batch.last_ts();
   st.published += batch.size();
-  // One tap-list snapshot per batch (vs. per tuple on the scalar path).
+  // One pinned tap list for the whole batch.
   const auto taps = st.taps;
   // Batch-aware taps take the whole batch with zero materialization; rows
   // are only materialized if a scalar-only tap remains.
   bool any_scalar_only = false;
-  for (const auto& e : taps) {
+  for (const auto& e : *taps) {
     if (e.batch) {
       e.batch(batch);
     } else {
@@ -113,7 +119,7 @@ void Engine::publish_batch(const std::string& name,
   Tuple scratch;
   for (std::size_t i = 0; i < batch.size(); ++i) {
     batch.materialize(i, scratch);
-    for (const auto& e : taps) {
+    for (const auto& e : *taps) {
       if (!e.batch) e.scalar(scratch);
     }
   }

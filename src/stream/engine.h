@@ -6,6 +6,7 @@
 #pragma once
 
 #include <functional>
+#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -42,7 +43,9 @@ class Engine {
   std::size_t attach(const std::string& name, BatchTap batch, Tap scalar);
   void detach(const std::string& name, std::size_t tap_id);
 
-  /// Pushes a tuple to every tap of the stream. Ordering is per-stream:
+  /// Pushes a tuple to every tap of the stream (the taps attached when the
+  /// call starts; attach/detach from inside a tap shows from the next
+  /// publish). Ordering is per-stream:
   /// tuples on one stream must arrive in non-decreasing timestamp order
   /// (window semantics depend on it), and violations throw
   /// std::invalid_argument naming the stream and both timestamps. Streams
@@ -71,12 +74,17 @@ class Engine {
     Tap scalar;     ///< always present
     BatchTap batch; ///< null for scalar-only taps
   };
+  using TapList = std::vector<TapEntry>;
   struct StreamState {
     Schema schema;
     Timestamp last_ts = INT64_MIN;
     std::size_t published = 0;
     std::size_t next_tap_id = 0;
-    std::vector<TapEntry> taps;
+    /// Copy-on-write: attach/detach swap in a new list, and a publish pins
+    /// the list current at its start, so taps that attach or detach
+    /// mid-publish take effect from the next publish — without copying
+    /// the taps per publish.
+    std::shared_ptr<const TapList> taps = std::make_shared<const TapList>();
   };
   StreamState& state(const std::string& name);
   std::unordered_map<std::string, StreamState> streams_;

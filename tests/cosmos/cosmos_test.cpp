@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "cql/parser.h"
 #include "net/topology.h"
@@ -143,6 +144,48 @@ TEST(Cosmos, RejectsDuplicateIds) {
   EXPECT_THROW(sys->submit(Fixture::q3(NodeId{3}), NodeId{2},
                           [](QueryId, const stream::Tuple&) {}),
                std::invalid_argument);
+}
+
+// A result callback that re-enters Cosmos (here: pushes a tuple whose
+// result reaches another query, nested inside this delivery) must still
+// see its own projected tuple intact when the nested delivery returns.
+TEST(Cosmos, ReentrantCallbackKeepsItsOwnResultTuple) {
+  Fixture f;
+  auto sys = f.make();
+  const auto reading = [](stream::Timestamp ts, double height) {
+    return stream::Tuple{ts,
+                         {stream::Value{height}, stream::Value{-3.0},
+                          stream::Value{std::int64_t{7}}, stream::Value{ts}}};
+  };
+  std::vector<stream::Tuple> nested;
+  sys->submit(cql::parse_query("SELECT S2.* FROM Station2 [Now] S2",
+                               QueryId{2}, NodeId{4}),
+              NodeId{2}, [&](QueryId, const stream::Tuple& t) {
+                nested.push_back(t);
+              });
+  std::size_t outer = 0;
+  sys->submit(cql::parse_query("SELECT S1.snowHeight FROM Station1 [Now] S1 "
+                               "WHERE S1.snowHeight >= 0",
+                               QueryId{1}, NodeId{3}),
+              NodeId{1}, [&](QueryId q, const stream::Tuple& t) {
+                EXPECT_EQ(q, QueryId{1});
+                const stream::Tuple before = t;
+                sys->push("Station2",
+                          reading(t.ts, 100.0 + static_cast<double>(t.ts)));
+                ASSERT_EQ(t.values.size(), before.values.size());
+                EXPECT_EQ(t.ts, before.ts);
+                for (std::size_t i = 0; i < t.values.size(); ++i) {
+                  EXPECT_EQ(t.values[i], before.values[i]);
+                }
+                ++outer;
+              });
+  for (stream::Timestamp ts = 1; ts <= 3; ++ts) {
+    sys->push("Station1", reading(ts, static_cast<double>(ts)));
+  }
+  EXPECT_EQ(outer, 3u);
+  ASSERT_EQ(nested.size(), 3u);
+  EXPECT_EQ(nested[2].values.size(), 4u);
+  EXPECT_EQ(nested[2].values[0], stream::Value{103.0});
 }
 
 }  // namespace

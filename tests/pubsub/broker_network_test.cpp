@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -314,6 +315,163 @@ TEST(BrokerNetworkBatch, TrafficAccountingEquivalentToScalarPerLink) {
     EXPECT_DOUBLE_EQ(it->second.weighted_cost, t.weighted_cost);
     EXPECT_EQ(it->second.messages_sent, t.messages_sent);
   }
+}
+
+// --- per-link accounting pinned to message_bytes --------------------------
+// Each directed link must carry exactly message_bytes() of the union of the
+// projections of the subscribers behind it (byte-identical doubles),
+// computed here by hand from attribute names, independent of the routing
+// code's column masks.
+
+/// Appends one routed copy of `bytes` on from->to to `t`, the way the
+/// broker accounts a hop.
+void add_hop(TrafficStats& t, const net::LatencyMatrix& lat, NodeId from,
+             NodeId to, double bytes) {
+  const double weighted = bytes * lat.latency(from, to);
+  t.bytes += bytes;
+  t.weighted_cost += weighted;
+  ++t.messages_sent;
+  auto& link = t.links[{from, to}];
+  link.bytes += bytes;
+  link.weighted_cost += weighted;
+  ++link.messages_sent;
+}
+
+Subscription projected_sub(NodeId home, std::set<std::string> projection) {
+  Subscription sub;
+  sub.subscriber = home;
+  sub.streams = {"T"};
+  sub.projection = std::move(projection);
+  return sub;
+}
+
+stream::Schema labelled_schema() {
+  return stream::Schema{{{"label", stream::ValueType::kString},
+                         {"a", stream::ValueType::kDouble},
+                         {"b", stream::ValueType::kInt},
+                         {"c", stream::ValueType::kDouble}}};
+}
+
+stream::Tuple labelled(stream::Timestamp ts, std::string label) {
+  return {ts,
+          {stream::Value{std::move(label)}, stream::Value{1.5},
+           stream::Value{std::int64_t{2}}, stream::Value{3.5}}};
+}
+
+TEST(BrokerNetworkTraffic, LinksCarryMessageBytesOfProjectionUnion) {
+  Fixture f;
+  BrokerNetwork net{f.all, f.lat};
+  const auto schema = labelled_schema();
+  net.advertise("T", NodeId{0}, schema);
+  // Behind 0->1 and 1->2: all three; behind 2->3: the two homed at 3.
+  // Disjoint projections, one naming only an attribute T lacks.
+  net.subscribe(projected_sub(NodeId{3}, {"a"}));
+  net.subscribe(projected_sub(NodeId{2}, {"label"}));
+  net.subscribe(projected_sub(NodeId{3}, {"absent"}));
+
+  TrafficStats expected;
+  const std::set<std::string> upstream{"a", "label", "absent"};
+  const std::set<std::string> last{"a", "absent"};
+  for (const auto& [ts, label] :
+       std::vector<std::pair<stream::Timestamp, std::string>>{
+           {1, "short"}, {2, "a considerably longer label"}, {3, ""}}) {
+    const auto tuple = labelled(ts, label);
+    net.publish("T", tuple, [](const Subscription&, const Message&) {});
+    const Message m{"T", &schema, tuple};
+    add_hop(expected, f.lat, NodeId{0}, NodeId{1}, message_bytes(m, upstream));
+    add_hop(expected, f.lat, NodeId{1}, NodeId{2}, message_bytes(m, upstream));
+    add_hop(expected, f.lat, NodeId{2}, NodeId{3}, message_bytes(m, last));
+  }
+  EXPECT_EQ(net.traffic(), expected);
+  // The string column's length is what varies between the rows.
+  EXPECT_DOUBLE_EQ(expected.links.at({NodeId{0}, NodeId{1}}).bytes,
+                   3 * (16.0 + 8.0) + 5 + 27 + 0);
+  // Only the absent attribute and `a` cross 2->3: header + one double.
+  EXPECT_DOUBLE_EQ(expected.links.at({NodeId{2}, NodeId{3}}).bytes,
+                   3 * (16.0 + 8.0));
+
+  // An unprojected subscriber behind the same links widens every union to
+  // the whole message.
+  net.subscribe(projected_sub(NodeId{3}, {}));
+  const auto tuple = labelled(4, "wide");
+  net.publish("T", tuple, [](const Subscription&, const Message&) {});
+  const Message m{"T", &schema, tuple};
+  for (const auto& [from, to] :
+       {std::pair{NodeId{0}, NodeId{1}}, std::pair{NodeId{1}, NodeId{2}},
+        std::pair{NodeId{2}, NodeId{3}}}) {
+    add_hop(expected, f.lat, from, to, message_bytes(m, {}));
+  }
+  EXPECT_EQ(net.traffic(), expected);
+}
+
+TEST(BrokerNetworkTraffic, SchemaWiderThan64ColumnsUsesEveryMaskWord) {
+  Fixture f;
+  BrokerNetwork net{f.all, f.lat};
+  std::vector<stream::Field> fields;
+  for (int i = 0; i < 150; ++i) {
+    fields.push_back({"c" + std::to_string(i), i % 7 == 3
+                                                   ? stream::ValueType::kString
+                                                   : stream::ValueType::kInt});
+  }
+  const stream::Schema schema{fields};
+  net.advertise("T", NodeId{0}, schema);
+  // Columns in the first, second and third mask word; c66 and c129 are
+  // strings.
+  net.subscribe(projected_sub(NodeId{3}, {"c1", "c66", "c129"}));
+  net.subscribe(projected_sub(NodeId{2}, {"c63", "c64", "c128", "c149"}));
+
+  stream::Tuple tuple{7, {}};
+  for (int i = 0; i < 150; ++i) {
+    if (i % 7 == 3) {
+      tuple.values.emplace_back(std::string(static_cast<std::size_t>(i), 'x'));
+    } else {
+      tuple.values.emplace_back(std::int64_t{i});
+    }
+  }
+  net.publish("T", tuple, [](const Subscription&, const Message&) {});
+
+  const Message m{"T", &schema, tuple};
+  const std::set<std::string> upstream{"c1",  "c66",  "c129", "c63",
+                                       "c64", "c128", "c149"};
+  TrafficStats expected;
+  add_hop(expected, f.lat, NodeId{0}, NodeId{1}, message_bytes(m, upstream));
+  add_hop(expected, f.lat, NodeId{1}, NodeId{2}, message_bytes(m, upstream));
+  add_hop(expected, f.lat, NodeId{2}, NodeId{3},
+          message_bytes(m, {"c1", "c66", "c129"}));
+  EXPECT_EQ(net.traffic(), expected);
+  EXPECT_DOUBLE_EQ(expected.links.at({NodeId{2}, NodeId{3}}).bytes,
+                   16.0 + 8.0 + 66 + 129);
+}
+
+TEST(BrokerNetworkTraffic, ResetMidTraceRestartsEveryLinkFromZero) {
+  Fixture f;
+  BrokerNetwork net{f.all, f.lat};
+  const auto schema = labelled_schema();
+  net.advertise("T", NodeId{0}, schema);
+  net.subscribe(projected_sub(NodeId{3}, {"label", "b"}));
+  net.subscribe(projected_sub(NodeId{1}, {}));
+
+  net.publish("T", labelled(1, "before the reset"),
+              [](const Subscription&, const Message&) {});
+  ASSERT_FALSE(net.traffic().links.empty());
+  net.reset_traffic();
+  EXPECT_EQ(net.traffic(), TrafficStats{});
+
+  TrafficStats expected;
+  for (const auto& [ts, label] :
+       std::vector<std::pair<stream::Timestamp, std::string>>{{2, "after"},
+                                                              {3, "again"}}) {
+    const auto tuple = labelled(ts, label);
+    net.publish("T", tuple, [](const Subscription&, const Message&) {});
+    const Message m{"T", &schema, tuple};
+    add_hop(expected, f.lat, NodeId{0}, NodeId{1}, message_bytes(m, {}));
+    add_hop(expected, f.lat, NodeId{1}, NodeId{2},
+            message_bytes(m, {"label", "b"}));
+    add_hop(expected, f.lat, NodeId{2}, NodeId{3},
+            message_bytes(m, {"label", "b"}));
+  }
+  EXPECT_EQ(net.traffic(), expected);
+  EXPECT_EQ(net.traffic().links.at({NodeId{0}, NodeId{1}}).messages_sent, 2u);
 }
 
 TEST(Subscription, MessageBytes) {

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <initializer_list>
+#include <string>
+#include <vector>
+
 #include "runtime/tuple_batch.h"
 
 namespace cosmos::stream {
@@ -202,6 +206,94 @@ TEST(Engine, TapsMayAttachDuringPublish) {
   EXPECT_EQ(later, 0);  // not delivered retroactively
   e.publish("S", Tuple{2, {Value{1}}});
   EXPECT_EQ(later, 1);
+}
+
+// A tap detaching itself, detaching another tap and attaching a new one
+// mid-publish: the running publish completes on the tap list pinned at its
+// start, and the change shows from the next publish.
+struct Rewiring {
+  Engine e;
+  std::vector<std::string> log;
+  std::size_t self_id = 0;
+  std::size_t victim_id = 0;
+  bool rewired = false;
+
+  Rewiring() { e.register_stream("S", one_field()); }
+  Rewiring(const Rewiring&) = delete;
+  Rewiring& operator=(const Rewiring&) = delete;
+
+  Engine::Tap note(const std::string& who) {
+    return [this, who](const Tuple& t) {
+      log.push_back(who + "@" + std::to_string(t.ts));
+    };
+  }
+  /// On its first call: detach `self` and `victim`, attach `new`.
+  void rewire() {
+    if (rewired) return;
+    rewired = true;
+    e.detach("S", self_id);
+    e.detach("S", victim_id);
+    e.attach("S", note("new"));
+  }
+  /// Scalar taps self (rewires), victim, stay — in that order.
+  void attach_scalar_taps() {
+    self_id = e.attach("S", [this](const Tuple& t) {
+      note("self")(t);
+      rewire();
+    });
+    victim_id = e.attach("S", note("victim"));
+    e.attach("S", note("stay"));
+  }
+};
+
+runtime::TupleBatch batch_of(std::initializer_list<Timestamp> stamps) {
+  runtime::TupleBatch b{"S"};
+  for (const auto ts : stamps) b.push_back(Tuple{ts, {Value{ts}}});
+  return b;
+}
+
+TEST(Engine, TapsMayDetachAndAttachDuringPublish) {
+  Rewiring r;
+  r.attach_scalar_taps();
+  r.e.publish("S", Tuple{1, {Value{1}}});
+  EXPECT_EQ(r.log, (std::vector<std::string>{"self@1", "victim@1", "stay@1"}));
+  r.log.clear();
+  r.e.publish("S", Tuple{2, {Value{2}}});
+  EXPECT_EQ(r.log, (std::vector<std::string>{"stay@2", "new@2"}));
+}
+
+// A scalar tap rewiring on the first row of a batch: the rest of the batch
+// still reaches every tap of the pinned list.
+TEST(Engine, ScalarTapRewiringMidBatchWaitsForNextBatch) {
+  Rewiring r;
+  r.attach_scalar_taps();
+  r.e.publish_batch("S", batch_of({1, 2}));
+  EXPECT_EQ(r.log, (std::vector<std::string>{"self@1", "victim@1", "stay@1",
+                                             "self@2", "victim@2", "stay@2"}));
+  r.log.clear();
+  r.e.publish_batch("S", batch_of({3}));
+  EXPECT_EQ(r.log, (std::vector<std::string>{"stay@3", "new@3"}));
+}
+
+// A batch-aware tap rewiring on its batch: scalar-only taps then see the
+// rows one by one, still from the pinned list.
+TEST(Engine, TapsMayDetachAndAttachDuringPublishBatch) {
+  Rewiring r;
+  r.self_id = r.e.attach(
+      "S",
+      [&r](const runtime::TupleBatch& b) {
+        r.log.push_back("self#" + std::to_string(b.size()));
+        r.rewire();
+      },
+      r.note("self"));
+  r.victim_id = r.e.attach("S", r.note("victim"));
+  r.e.attach("S", r.note("stay"));
+  r.e.publish_batch("S", batch_of({1, 2}));
+  EXPECT_EQ(r.log, (std::vector<std::string>{"self#2", "victim@1", "stay@1",
+                                             "victim@2", "stay@2"}));
+  r.log.clear();
+  r.e.publish_batch("S", batch_of({3}));
+  EXPECT_EQ(r.log, (std::vector<std::string>{"stay@3", "new@3"}));
 }
 
 }  // namespace
