@@ -9,8 +9,13 @@
 // --smoke runs a scaled-down trace (the CI gate). Absolute tuples/s are
 // hardware-dependent and gate against the previous run's artifact only
 // (check_bench.py --fallback); on first introduction the gate records.
+// fed_tuples_per_sent_frame_2w — tuples over every frame sent on driver
+// and peer links — counts frames, not time, so it is gated against the
+// committed baseline (bench/baselines/BENCH_federation.json).
 #include <unistd.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -147,6 +152,8 @@ int main(int argc, char** argv) {
     std::size_t results = 0;
     /// Total bytes moved: driver links plus worker-to-worker peer links.
     double wire_bytes_per_tuple = 0.0;
+    /// Frames sent: driver links plus worker-to-worker peer links.
+    std::uint64_t frames_sent = 0;
     double e2e_p50_us = 0.0;  ///< ingest->delivery latency (run/fed modes)
     double e2e_p99_us = 0.0;
   };
@@ -155,8 +162,10 @@ int main(int argc, char** argv) {
   const auto fed_report = [&](Row& row,
                               const middleware::Cosmos::RunReport& report) {
     std::uint64_t wire_bytes = report.federation.peer_bytes;
+    row.frames_sent = report.federation.peer_frames;
     for (const auto& link : report.federation.links) {
       wire_bytes += link.bytes_sent + link.bytes_received;
+      row.frames_sent += link.frames_sent;
     }
     row.wire_bytes_per_tuple =
         static_cast<double>(wire_bytes) / static_cast<double>(events.size());
@@ -295,6 +304,9 @@ int main(int argc, char** argv) {
        {"fed_tuples_per_s_4w", tuples / fed4.wall_s},
        {"fed_vs_run_wall_ratio_2w", run2.wall_s / fed2.wall_s},
        {"wire_bytes_per_tuple_2w", fed2.wire_bytes_per_tuple},
+       {"fed_tuples_per_sent_frame_2w",
+        tuples / static_cast<double>(
+                     std::max<std::uint64_t>(fed2.frames_sent, 1))},
        {"fed_journal_tuples_per_s_2w", tuples / fedj.wall_s},
        {"fed_journal_bytes_per_tuple_2w", journal_bytes_per_tuple},
        {"fed_journal_vs_plain_wall_ratio_2w", fed2.wall_s / fedj.wall_s},

@@ -121,6 +121,7 @@ Cosmos::Cosmos(std::vector<NodeId> nodes, const net::LatencyMatrix& lat,
 void Cosmos::register_source(const std::string& stream, stream::Schema schema,
                              NodeId node) {
   broker_.advertise(stream, node, std::move(schema));
+  sources_.insert(stream);
 }
 
 stream::Engine& Cosmos::engine_at(NodeId host) {

@@ -21,6 +21,7 @@
 #include <memory>
 #include <string>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "adapt/adapt.h"
@@ -517,6 +518,9 @@ class Cosmos {
   /// always observe the run-mode value.
   runtime::MpscBuffer<ResultEvent>* active_results_ = nullptr;
   std::size_t results_delivered_ = 0;
+  /// Streams advertised through register_source — the only streams a
+  /// federated run registers with its workers.
+  std::unordered_set<std::string> sources_;
 };
 
 }  // namespace cosmos::middleware

@@ -3,12 +3,14 @@
 // wire::FrameChannel; the channel's reader thread funnels every inbound
 // frame into a small mutex-guarded inbox the driver thread waits on.
 //
-// One data path: the match owner of a stream retains each batch it
-// matched, the driver routes the match response into a compact
-// kRouteDecision, and the owner ships each engine's slice worker-to-worker
-// over a peer link. The driver's own kExecute frames (the star path) are
-// the fallback for a peer link declared dead (kPeerDown) and the replay
-// that worker recovery, driver resume and kSeqGap repair send.
+// One data path, chunk-granular: for each chunk the driver sends every
+// stream owner one kMatchRequest holding the owner's runs, the owner
+// retains them, the driver routes the match response into one compact
+// kRouteDecision, and the owner ships one kExecute per target worker —
+// every engine's slices of those runs, as seq-stamped pieces — over a
+// peer link. The driver's own kExecute frames (the star path) are the
+// fallback for a peer link declared dead (kPeerDown) and the replay that
+// worker recovery, driver resume and kSeqGap repair send.
 //
 // Determinism argument, mirroring run(): routing happens on the driver in
 // chunk/run order and assigns every execute a per-engine sequence number;
@@ -172,6 +174,11 @@ struct Cosmos::Fed {
     std::vector<std::uint32_t> rows;  ///< empty = all rows of `run`
     std::shared_ptr<const runtime::TupleBatch> run;
     std::uint64_t ingest_ns = 0;
+
+    /// The entry as a kExecute piece, its rows materialized.
+    [[nodiscard]] wire::ExecutePiece piece() const {
+      return {engine, seq, ingest_ns, rows.empty() ? *run : run->select(rows)};
+    }
   };
   std::vector<DataLogEntry> data_log;
   /// Data-log accounting: entries ever appended vs the peak held at once
@@ -227,15 +234,23 @@ struct Cosmos::Fed {
   bool has_watermark = false;
   std::uint64_t driver_execute_bytes = 0;
 
-  /// One dispatched run awaiting (or exempt from) its match response.
+  /// One run of a dispatched chunk.
   struct PendingRun {
     std::shared_ptr<const runtime::TupleBatch> run;
+    /// Index into PendingChunk::jobs; SIZE_MAX when the stream has no
+    /// subscription (nothing to match or route).
+    std::size_t job = SIZE_MAX;
+    std::uint32_t slot = 0;  ///< the run's index within its job
+  };
+  /// One (chunk, stream owner) match job: the owner's runs in chunk order.
+  struct MatchJob {
     std::uint64_t job = 0;
-    std::size_t owner = 0;  ///< the stream owner the match request went to
-    bool awaiting = false;  ///< false: zero subscriptions, nothing to match
+    std::size_t owner = 0;
+    std::vector<std::size_t> runs;  ///< indices into PendingChunk::runs
   };
   struct PendingChunk {
     std::vector<PendingRun> runs;
+    std::vector<MatchJob> jobs;
     stream::Timestamp last_ts = 0;
     std::uint64_t ingest_ns = 0;  ///< Chunk::ingest_ns, echoed on executes
     std::uint64_t index = 0;      ///< chunk_index at dispatch
@@ -488,25 +503,38 @@ struct Cosmos::Fed {
     }
   }
 
-  /// Re-sends every data-log entry matching `match` as a plain driver
-  /// execute — the shared replay core of worker recovery, peer-link
+  /// Star send of one kExecute frame from the driver itself.
+  void send_execute(std::size_t w, const wire::ExecuteMsg& m) {
+    auto frame = wire::encode_execute(m);
+    driver_execute_bytes += frame.payload.size() + wire::kFrameHeaderBytes;
+    send_data(w, std::move(frame));
+  }
+
+  /// Most pieces one replay frame carries: a worker recovery replays a
+  /// whole checkpoint interval, which must not become one giant frame.
+  static constexpr std::size_t kReplayFramePieces = 256;
+
+  /// Re-sends every data-log entry matching `match` from the driver, in
+  /// log order, grouped into kExecute frames per target worker — the
+  /// shared replay core of worker recovery, driver resume, peer-link
   /// fallback and kSeqGap repair. Receiving sites drop seqs below their
   /// frontier, so over-replaying is safe. Runs on the driver thread with
   /// the inbox lock released.
   template <typename Match>
   void replay_entries(Match match) {
+    std::map<std::size_t, wire::ExecuteMsg> frames;
     for (const auto& entry : data_log) {
       if (!match(entry)) continue;
       const std::size_t tgt = worker_of_engine.at(entry.engine);
-      wire::ExecuteMsg exec;
-      exec.engine = entry.engine;
-      exec.ingest_ns = entry.ingest_ns;
-      exec.seq = entry.seq;
-      exec.batch =
-          entry.rows.empty() ? *entry.run : entry.run->select(entry.rows);
-      auto frame = wire::encode_execute(exec);
-      driver_execute_bytes += frame.payload.size() + wire::kFrameHeaderBytes;
-      send_data(tgt, std::move(frame));
+      auto& m = frames[tgt];
+      m.pieces.push_back(entry.piece());
+      if (m.pieces.size() >= kReplayFramePieces) {
+        send_execute(tgt, m);
+        m.pieces.clear();
+      }
+    }
+    for (const auto& [tgt, m] : frames) {
+      if (!m.pieces.empty()) send_execute(tgt, m);
     }
   }
 
@@ -688,6 +716,24 @@ struct Cosmos::Fed {
     wait_for(lock, [&] { return hello_acks.size() >= workers.size(); });
   }
 
+  /// Assigns every source stream its owner worker and returns the source
+  /// partitions in the broker's (deterministic) order. Ownership is static:
+  /// the publisher node's index modulo the worker count, the same spread
+  /// run() uses for shards. Result streams — live, or left behind by a
+  /// superseded unit version — stay driver-side: workers host the engines
+  /// that emit them and ship the tuples back raw, and p2 matching/delivery
+  /// (with its traffic accounting) happens on the driver's own broker.
+  std::vector<const pubsub::BrokerPartition*> own_sources() {
+    std::vector<const pubsub::BrokerPartition*> sources;
+    for (const auto* part : sys.broker_.partitions()) {
+      if (!sys.sources_.contains(part->stream())) continue;
+      worker_of_stream.emplace(part->stream(),
+                               part->publisher().value() % workers.size());
+      sources.push_back(part);
+    }
+    return sources;
+  }
+
   /// Ships everything a worker needs to be the driver's twin: the exact
   /// topology (same doubles -> same overlay tree), every source stream's
   /// advertisement, every p1 subscription under its driver-assigned id,
@@ -701,25 +747,12 @@ struct Cosmos::Fed {
     topo.use_index = true;
     broadcast_logged(wire::encode_topology(topo));
 
-    // Result streams stay driver-side: workers host the engines that emit
-    // them and ship the tuples back raw; p2 matching/delivery (and its
-    // traffic accounting) happens on the driver's own broker.
-    std::set<std::string> result_streams;
-    for (const auto& [uid, unit] : sys.units_) {
-      result_streams.insert(unit.result_stream);
-    }
-
-    for (auto* part : sys.broker_.partitions()) {
-      if (result_streams.contains(part->stream())) continue;
+    for (const auto* part : own_sources()) {
       wire::RegisterStreamMsg reg_msg;
       reg_msg.stream = part->stream();
       reg_msg.publisher = part->publisher();
       reg_msg.schema = part->schema();
       broadcast_logged(wire::encode_register_stream(reg_msg));
-      // Static stream ownership: the publisher node's index modulo the
-      // worker count, the same deterministic spread run() uses for shards.
-      worker_of_stream.emplace(part->stream(),
-                               part->publisher().value() % workers.size());
     }
 
     for (const auto& [uid, unit] : sys.units_) {
@@ -796,15 +829,7 @@ struct Cosmos::Fed {
     // Rebuild the routing tables exactly as replicate() derives them (both
     // are deterministic in sys), then let the journaled engine states
     // override the placement where a pre-crash migration moved an engine.
-    std::set<std::string> result_streams;
-    for (const auto& [uid, unit] : sys.units_) {
-      result_streams.insert(unit.result_stream);
-    }
-    for (auto* part : sys.broker_.partitions()) {
-      if (result_streams.contains(part->stream())) continue;
-      worker_of_stream.emplace(part->stream(),
-                               part->publisher().value() % workers.size());
-    }
+    (void)own_sources();
     for (const auto& [uid, unit] : sys.units_) {
       worker_of_engine[unit.host] = unit.host.value() % workers.size();
     }
@@ -846,20 +871,20 @@ struct Cosmos::Fed {
       }
     }
 
-    // Replay the journaled whole-chunk executes in route order as plain
-    // driver sends, re-advancing each engine's seq frontier past them. The
-    // batches also seed the in-memory data log: until the fresh cut below
-    // resets it, the window must be re-sendable.
+    // Seed the in-memory data log with the journaled whole-chunk pieces
+    // (until the fresh cut below resets it, the window must be
+    // re-sendable), re-advancing each engine's seq frontier past them, and
+    // replay them as plain driver sends to the engines' current workers.
     for (const auto& m : rec.executes) {
-      auto& frontier = next_exec_seq[m.engine.value()];
-      frontier = std::max(frontier, m.seq + 1);
-      auto frame = wire::encode_execute(m);
-      driver_execute_bytes += frame.payload.size() + wire::kFrameHeaderBytes;
-      send_data(worker_of_engine.at(m.engine), std::move(frame));
-      log_append({SIZE_MAX, m.engine, m.seq, {},
-                  std::make_shared<const runtime::TupleBatch>(m.batch),
-                  m.ingest_ns});
+      for (const auto& p : m.pieces) {
+        auto& frontier = next_exec_seq[p.engine.value()];
+        frontier = std::max(frontier, p.seq + 1);
+        log_append({SIZE_MAX, p.engine, p.seq, {},
+                    std::make_shared<const runtime::TupleBatch>(p.batch),
+                    p.ingest_ns});
+      }
     }
+    replay_entries([](const DataLogEntry&) { return true; });
 
     // Restore stream time after the replay (floors make the sites defer
     // pruning until every replayed execute applied), and arm suppression of
@@ -1022,6 +1047,18 @@ struct Cosmos::Fed {
 
   // --- chunk pipeline ------------------------------------------------------
 
+  /// The kMatchRequest of one job: the chunk's shared runs, not copies.
+  static wire::Frame match_request(const PendingChunk& pc,
+                                   const MatchJob& job) {
+    wire::MatchRequestMsg m;
+    m.job = job.job;
+    m.runs.reserve(job.runs.size());
+    for (const std::size_t i : job.runs) m.runs.push_back(pc.runs[i].run);
+    return wire::encode_match_request(m);
+  }
+
+  /// Cuts the chunk's match jobs — one per stream owner, holding the
+  /// owner's runs in chunk order — and sends each owner its request.
   void dispatch(runtime::Chunk&& chunk) {
     const double cpu0 = thread_cpu_seconds();
     const obs::Span span{"dispatch", "driver", chunk.runs.size()};
@@ -1032,6 +1069,7 @@ struct Cosmos::Fed {
     events_consumed += chunk.tuples;
     pc.events_through = events_consumed;
     pc.runs.reserve(chunk.runs.size());
+    std::vector<std::size_t> job_of_owner(workers.size(), SIZE_MAX);
     for (runtime::TupleBatch& run : chunk.runs) {
       auto* part = sys.broker_.partition(run.stream());
       if (part == nullptr) {
@@ -1052,12 +1090,19 @@ struct Cosmos::Fed {
               "Cosmos: federated trace event on non-source stream " +
               pr.run->stream()};
         }
-        pr.job = next_job++;
-        pr.owner = oit->second;
-        pr.awaiting = true;
-        send_data(pr.owner, wire::encode_match_request({pr.job, *pr.run}));
+        std::size_t& j = job_of_owner[oit->second];
+        if (j == SIZE_MAX) {
+          j = pc.jobs.size();
+          pc.jobs.push_back({next_job++, oit->second, {}});
+        }
+        pr.job = j;
+        pr.slot = static_cast<std::uint32_t>(pc.jobs[j].runs.size());
+        pc.jobs[j].runs.push_back(pc.runs.size());
       }
       pc.runs.push_back(std::move(pr));
+    }
+    for (const auto& job : pc.jobs) {
+      send_data(job.owner, match_request(pc, job));
     }
     pending.push_back(std::move(pc));
     ++report.chunks;
@@ -1070,9 +1115,9 @@ struct Cosmos::Fed {
   void complete_front() {
     // The front chunk stays in `pending` across the wait: a recovery
     // dispatched from wait_for re-sends match requests by walking
-    // `pending`, and popping first would hide exactly the runs whose
+    // `pending`, and popping first would hide exactly the jobs whose
     // request died with the worker (the wait would then never finish).
-    std::vector<wire::MatchResponseMsg> responses(pending.front().runs.size());
+    std::vector<wire::MatchResponseMsg> responses(pending.front().jobs.size());
     {
       const TimePoint wait0 = Clock::now();
       const obs::Span span{"match_wait", "driver",
@@ -1081,10 +1126,8 @@ struct Cosmos::Fed {
       wait_for(
           lock,
           [&] {
-            for (const auto& pr : pending.front().runs) {
-              if (pr.awaiting && !match_responses.contains(pr.job)) {
-                return false;
-              }
+            for (const auto& job : pending.front().jobs) {
+              if (!match_responses.contains(job.job)) return false;
             }
             return true;
           },
@@ -1092,24 +1135,21 @@ struct Cosmos::Fed {
             // Re-send every still-unanswered match request: a drop fault
             // can swallow the request (or the response) with the owner
             // alive. Duplicate responses are emplace-deduped.
-            for (const auto& pr : pending.front().runs) {
-              if (!pr.awaiting) continue;
+            for (const auto& job : pending.front().jobs) {
               bool answered = false;
               {
                 std::lock_guard g{mu};
-                answered = match_responses.contains(pr.job);
+                answered = match_responses.contains(job.job);
               }
               if (!answered) {
-                send_data(pr.owner,
-                          wire::encode_match_request({pr.job, *pr.run}));
+                send_data(job.owner, match_request(pending.front(), job));
               }
             }
           });
       report.driver.match_wait_seconds += seconds_since(wait0);
-      for (std::size_t i = 0; i < pending.front().runs.size(); ++i) {
-        if (!pending.front().runs[i].awaiting) continue;
-        auto node = match_responses.extract(pending.front().runs[i].job);
-        responses[i] = std::move(node.mapped());
+      for (std::size_t j = 0; j < responses.size(); ++j) {
+        auto node = match_responses.extract(pending.front().jobs[j].job);
+        responses[j] = std::move(node.mapped());
       }
     }
     PendingChunk chunk = std::move(pending.front());
@@ -1135,22 +1175,39 @@ struct Cosmos::Fed {
 
   /// The route stage of run(), frame-producing: union of matched rows per
   /// subscriber engine (a tuple reaches an engine once however many
-  /// subscriptions matched), per-engine batches in run order, each stamped
-  /// with its engine's next seq. The driver sends the match owner one
-  /// compact kRouteDecision and the owner ships the retained batch's slices
-  /// worker-to-worker; only a pair whose peer link fell back (kPeerDown)
-  /// gets its kExecute from the driver. Either way the route is appended
-  /// to the data log for replay.
+  /// subscriptions matched), one piece per (run, engine) in chunk order,
+  /// each stamped with its engine's next seq. Each match owner gets one
+  /// compact kRouteDecision for the chunk and ships one kExecute per
+  /// target worker; only an (owner, target) pair whose peer link fell back
+  /// (kPeerDown) gets its kExecute from the driver. Either way every piece
+  /// is appended to the data log for replay.
   void route_and_execute(const PendingChunk& chunk,
-                         std::vector<wire::MatchResponseMsg>& responses) {
+                         const std::vector<wire::MatchResponseMsg>& responses) {
     const double route_cpu0 = thread_cpu_seconds();
     const obs::Span route_span{"route", "driver", chunk.runs.size()};
+    std::vector<wire::RouteDecisionMsg> decisions(chunk.jobs.size());
+    for (std::size_t j = 0; j < chunk.jobs.size(); ++j) {
+      if (responses[j].runs.size() != chunk.jobs[j].runs.size()) {
+        throw wire::Error{
+            "Cosmos federation: match response run count mismatch"};
+      }
+      decisions[j].job = chunk.jobs[j].job;
+      decisions[j].ingest_ns = chunk.ingest_ns;
+    }
+    /// The kExecute of one (job, target worker): journaled, and sent by
+    /// the driver itself when the pair's peer link fell back to star.
+    struct OutFrame {
+      wire::ExecuteMsg msg;
+      bool star = false;
+    };
+    std::map<std::pair<std::size_t, std::size_t>, OutFrame> frames;
     std::map<NodeId, std::vector<char>> mask_of;
-    for (std::size_t i = 0; i < chunk.runs.size(); ++i) {
-      const PendingRun& pr = chunk.runs[i];
+    for (const PendingRun& pr : chunk.runs) {
+      if (pr.job == SIZE_MAX) continue;
       const auto& run = *pr.run;
+      const std::size_t owner = chunk.jobs[pr.job].owner;
       mask_of.clear();
-      for (auto& [sub_id, rows] : responses[i].deliveries) {
+      for (const auto& [sub_id, rows] : responses[pr.job].runs[pr.slot]) {
         const auto* sub = sys.broker_.subscription(sub_id);
         if (sub == nullptr) {
           throw wire::Error{
@@ -1167,9 +1224,6 @@ struct Cosmos::Fed {
           mask[row] = 1;
         }
       }
-      wire::RouteDecisionMsg decision;
-      decision.job = pr.job;
-      decision.ingest_ns = chunk.ingest_ns;
       for (const auto& [node, mask] : mask_of) {
         const auto eit = sys.engines_.find(node);
         if (eit == sys.engines_.end() ||
@@ -1188,43 +1242,35 @@ struct Cosmos::Fed {
           }
         }
         const std::size_t tgt = worker_of_engine.at(node);
-        // A pair whose peer link fell back to star routing (kPeerDown)
-        // gets its batches from the driver for the rest of the run.
-        if (!peer_down_pairs.contains({static_cast<std::uint32_t>(pr.owner),
-                                       static_cast<std::uint32_t>(tgt)})) {
-          // Journal before the decision ships: once the owner slices and
-          // sends worker-to-worker the driver never sees these bytes again.
-          if (jw) {
-            wire::ExecuteMsg exec;
-            exec.engine = node;
-            exec.ingest_ns = chunk.ingest_ns;
-            exec.seq = seq;
-            exec.batch = rows.empty() ? run : run.select(rows);
-            jw->execute(exec);
-          }
-          decision.targets.push_back(
-              {node, static_cast<std::uint32_t>(tgt), seq, rows});
-          log_append({pr.owner, node, seq, std::move(rows), pr.run,
-                      chunk.ingest_ns});
-        } else {
-          wire::ExecuteMsg exec;
-          exec.engine = node;
-          exec.ingest_ns = chunk.ingest_ns;
-          exec.seq = seq;
-          exec.batch = rows.empty() ? run : run.select(rows);
-          if (jw) jw->execute(exec);
-          auto frame = wire::encode_execute(exec);
-          driver_execute_bytes +=
-              frame.payload.size() + wire::kFrameHeaderBytes;
-          send_data(tgt, std::move(frame));
-          log_append({SIZE_MAX, node, seq, std::move(rows), pr.run,
-                      chunk.ingest_ns});
+        const bool star =
+            peer_down_pairs.contains({static_cast<std::uint32_t>(owner),
+                                      static_cast<std::uint32_t>(tgt)});
+        if (!star) {
+          decisions[pr.job].targets.push_back(
+              {pr.slot, node, static_cast<std::uint32_t>(tgt), seq, rows});
         }
+        DataLogEntry entry{star ? SIZE_MAX : owner, node, seq,
+                           std::move(rows), pr.run, chunk.ingest_ns};
+        if (star || jw) {
+          auto& out = frames[{pr.job, tgt}];
+          out.star = star;
+          out.msg.pieces.push_back(entry.piece());
+        }
+        log_append(std::move(entry));
       }
-      // Sent even with no targets: the owner frees the retained batch.
-      if (pr.awaiting) {
-        send_data(pr.owner, wire::encode_route_decision(decision));
-      }
+    }
+    // Journal before anything ships: once an owner slices and sends
+    // worker-to-worker the driver never sees these bytes again.
+    if (jw) {
+      for (const auto& [key, out] : frames) jw->execute(out.msg);
+    }
+    for (const auto& [key, out] : frames) {
+      if (out.star) send_execute(key.second, out.msg);
+    }
+    // Sent even with no targets: the owner frees the retained runs.
+    for (std::size_t j = 0; j < chunk.jobs.size(); ++j) {
+      send_data(chunk.jobs[j].owner,
+                wire::encode_route_decision(decisions[j]));
     }
     report.driver.route_cpu_seconds += thread_cpu_seconds() - route_cpu0;
   }
@@ -1364,14 +1410,12 @@ struct Cosmos::Fed {
       });
 
       // Re-send every match request of a pending chunk this owner took,
-      // answered or not: the retained batch died with the worker, and the
-      // chunk's kRouteDecision will need it (a duplicate response is
+      // answered or not: the retained runs died with the worker, and the
+      // chunk's kRouteDecision will need them (a duplicate response is
       // emplace-deduped driver-side).
       for (const auto& pc : pending) {
-        for (const auto& pr : pc.runs) {
-          if (pr.awaiting && pr.owner == i) {
-            send_data(i, wire::encode_match_request({pr.job, *pr.run}));
-          }
+        for (const auto& job : pc.jobs) {
+          if (job.owner == i) send_data(i, match_request(pc, job));
         }
       }
 

@@ -75,7 +75,10 @@ class Error : public std::runtime_error {
 
 inline constexpr std::uint32_t kSegmentMagic = 0x4C4E4A43u;  // "CJNL"
 /// v2: Meta drops the peer-link flag (peer routing is the only data path).
-inline constexpr std::uint16_t kFormatVersion = 2;
+/// v3: an execute record holds one multi-piece kExecute frame — every
+/// piece of one (chunk, stream owner, target worker) — in place of one
+/// single-batch frame per (run, engine).
+inline constexpr std::uint16_t kFormatVersion = 3;
 inline constexpr std::size_t kSegmentHeaderBytes = 16;
 /// Upper bound on one record body; recovery rejects larger length claims so
 /// a corrupt prefix cannot trigger a giant allocation (mirrors the wire
@@ -87,7 +90,7 @@ enum class RecordType : std::uint8_t {
   kRegistration = 2,     ///< one registration wire frame, verbatim
   kEngineState = 3,      ///< one engine's checkpointed state + exec seq
   kCheckpointCommit = 4, ///< checkpoint cut is durable from here on
-  kExecute = 5,          ///< one routed kExecute wire frame, verbatim
+  kExecute = 5,          ///< one routed (multi-piece) kExecute frame, verbatim
   kChunkRouted = 6,      ///< chunk fully routed: replay barrier + resume cut
   kDelivered = 7,        ///< per-stream delivered counts, written pre-callback
 };
@@ -197,7 +200,8 @@ class Writer {
   /// every future segment preamble.
   void registration(const wire::Frame& frame);
 
-  /// Journals one routed execute verbatim (call before moving the batch).
+  /// Journals one routed execute frame verbatim (call before moving its
+  /// pieces' batches).
   void execute(const wire::ExecuteMsg& m);
 
   void chunk_routed(const ChunkRouted& m);
@@ -268,7 +272,9 @@ struct RecoveredRun {
   std::vector<wire::Frame> registrations;  ///< in original broadcast order
   std::vector<EngineState> engines;
   CheckpointCommit checkpoint;
-  std::vector<wire::ExecuteMsg> executes;  ///< post-commit, route order
+  /// Post-commit execute frames in journal order; their pieces in that
+  /// order are route order per engine.
+  std::vector<wire::ExecuteMsg> executes;
   std::vector<DeliveredCount> delivered;   ///< summed post-commit floors
 
   std::uint64_t resume_events = 0;  ///< re-ingest the trace from here

@@ -125,14 +125,16 @@ bool Site::handle_locked(const Frame& frame, std::vector<Frame>& out,
       break;
     case FrameType::kExecute: {
       auto m = wire::decode_execute(frame);
-      // The driver channel is strict: it only sends executes to the worker
+      // The driver channel is strict: it only sends pieces to the worker
       // it believes hosts the engine, so a miss is a placement bug (peer
       // links tolerate the transient miss instead — see
       // apply_peer_execute).
-      if (!engines_.contains(m.engine)) {
-        throw wire::Error{"node: execute for engine " +
-                          std::to_string(m.engine.value()) +
-                          " not hosted here"};
+      for (const auto& p : m.pieces) {
+        if (!engines_.contains(p.engine)) {
+          throw wire::Error{"node: execute for engine " +
+                            std::to_string(p.engine.value()) +
+                            " not hosted here"};
+        }
       }
       apply_execute(std::move(m), out);
       break;
@@ -208,13 +210,15 @@ bool Site::handle_locked(const Frame& frame, std::vector<Frame>& out,
 
 void Site::apply_peer_execute(wire::ExecuteMsg m) {
   std::lock_guard lock{mu_};
-  if (!engines_.contains(m.engine)) {
-    // A survivor's shipment can reach a respawned worker before the
-    // driver's kMigrateIn re-creates the engine; hold it, on_migrate_in
-    // re-applies.
-    held_peer_execs_.push_back(std::move(m));
-    return;
-  }
+  // A survivor's shipment can reach a respawned worker before the driver's
+  // kMigrateIn re-creates the engine; hold those pieces, on_migrate_in
+  // re-applies them.
+  std::erase_if(m.pieces, [&](wire::ExecutePiece& p) {
+    if (engines_.contains(p.engine)) return false;
+    held_peer_pieces_.push_back(std::move(p));
+    return true;
+  });
+  if (m.pieces.empty()) return;
   std::vector<Frame> out;
   apply_execute(std::move(m), out);
   ship_results(out);
@@ -224,35 +228,58 @@ void Site::apply_peer_execute(wire::ExecuteMsg m) {
 }
 
 void Site::apply_execute(wire::ExecuteMsg m, std::vector<Frame>& out) {
-  auto& st = exec_seq_[m.engine.value()];
-  if (m.seq < st.expected) return;  // recovery replay duplicate
-  if (m.seq > st.expected) {
-    st.holdback.emplace(m.seq, std::move(m));  // early arrival; keep first
-    return;
-  }
-  dispatch_execute(std::move(m));
-  ++st.expected;
-  for (auto next = st.holdback.find(st.expected);
-       next != st.holdback.end(); next = st.holdback.find(st.expected)) {
-    dispatch_execute(std::move(next->second));
-    st.holdback.erase(next);
-    ++st.expected;
-  }
+  for (auto& p : m.pieces) sequence_piece(std::move(p));
+  // Before pump_gate: a watermark or flush the gate releases must queue
+  // behind every piece its floors waited for.
+  dispatch_staged();
   pump_gate(out);
 }
 
-void Site::dispatch_execute(wire::ExecuteMsg m) {
-  const auto it = engines_.find(m.engine);
+void Site::sequence_piece(wire::ExecutePiece p) {
+  auto& st = exec_seq_[p.engine.value()];
+  if (p.seq < st.expected) return;  // recovery replay duplicate
+  if (p.seq > st.expected) {
+    st.holdback.emplace(p.seq, std::move(p));  // early arrival; keep first
+    return;
+  }
+  stage_piece(std::move(p));
+  ++st.expected;
+  for (auto next = st.holdback.find(st.expected);
+       next != st.holdback.end(); next = st.holdback.find(st.expected)) {
+    stage_piece(std::move(next->second));
+    st.holdback.erase(next);
+    ++st.expected;
+  }
+}
+
+void Site::stage_piece(wire::ExecutePiece p) {
+  const std::uint64_t id = p.engine.value();
+  const auto at = staged_at_.find(id);
+  if (at != staged_at_.end() && staged_[at->second].ingest_ns == p.ingest_ns) {
+    staged_[at->second].runs.push_back(std::move(p.batch));
+    return;
+  }
+  const auto it = engines_.find(p.engine);
   if (it == engines_.end()) {
-    throw wire::Error{"node: execute for engine " +
-                      std::to_string(m.engine.value()) + " not hosted here"};
+    throw wire::Error{"node: execute for engine " + std::to_string(id) +
+                      " not hosted here"};
   }
   runtime::Runtime::Task task;
   task.engine = it->second.get();
-  task.engine_id = m.engine.value();
-  task.runs.push_back(std::move(m.batch));
-  task.ingest_ns = m.ingest_ns;
-  rt_.dispatch(shard_of_.at(task.engine_id), std::move(task));
+  task.engine_id = id;
+  task.runs.push_back(std::move(p.batch));
+  task.ingest_ns = p.ingest_ns;
+  staged_at_[id] = staged_.size();
+  staged_.push_back(std::move(task));
+}
+
+void Site::dispatch_staged() {
+  for (auto& task : staged_) {
+    const std::size_t shard = shard_of_.at(task.engine_id);
+    rt_.dispatch(shard, std::move(task));
+  }
+  staged_.clear();
+  staged_at_.clear();
 }
 
 bool Site::floors_met(const std::vector<wire::EngineFloor>& floors) const {
@@ -386,29 +413,34 @@ void Site::on_deploy(wire::DeployUnitMsg m) {
 }
 
 void Site::on_match(wire::MatchRequestMsg m, std::vector<Frame>& out) {
-  auto* part = broker().partition(m.batch.stream());
-  if (part == nullptr) {
-    throw wire::Error{"node: match request for unadvertised stream " +
-                      m.batch.stream()};
-  }
-  // Inline on the serve thread: this Site's partitions are matched nowhere
-  // else, so the single-owner discipline holds without locking, and the
-  // partition's traffic accounting is exactly the in-process p1 share of
-  // the streams this worker owns.
-  std::vector<pubsub::BatchDelivery> deliveries;
-  part->match_batch(m.batch, deliveries);
   wire::MatchResponseMsg resp;
   resp.job = m.job;
-  resp.deliveries.reserve(deliveries.size());
-  for (auto& d : deliveries) {
-    resp.deliveries.emplace_back(d.sub->id, std::move(d.rows));
+  resp.runs.resize(m.runs.size());
+  std::vector<pubsub::BatchDelivery> deliveries;
+  for (std::size_t i = 0; i < m.runs.size(); ++i) {
+    const runtime::TupleBatch& run = *m.runs[i];
+    auto* part = broker().partition(run.stream());
+    if (part == nullptr) {
+      throw wire::Error{"node: match request for unadvertised stream " +
+                        run.stream()};
+    }
+    // Inline on the serve thread: this Site's partitions are matched
+    // nowhere else, so the single-owner discipline holds without locking,
+    // and the partition's traffic accounting is exactly the in-process p1
+    // share of the streams this worker owns.
+    deliveries.clear();
+    part->match_batch(run, deliveries);
+    resp.runs[i].reserve(deliveries.size());
+    for (auto& d : deliveries) {
+      resp.runs[i].emplace_back(d.sub->id, std::move(d.rows));
+    }
   }
   out.push_back(wire::encode_match_response(resp));
-  // Retain the batch: the driver's kRouteDecision slices it into per-engine
-  // executes here instead of echoing the rows back over the star.
+  // Retain the runs: the driver's kRouteDecision slices them into
+  // per-engine pieces here instead of echoing the rows back over the star.
   // insert_or_assign absorbs a recovery re-request of the same job.
   if (!decided_.contains(m.job)) {
-    retained_.insert_or_assign(m.job, std::move(m.batch));
+    retained_.insert_or_assign(m.job, std::move(m.runs));
   }
 }
 
@@ -422,21 +454,36 @@ void Site::on_route_decision(wire::RouteDecisionMsg m, std::vector<Frame>& out,
     throw wire::Error{"node: route decision for unknown job " +
                       std::to_string(m.job)};
   }
-  for (auto& t : m.targets) {
-    wire::ExecuteMsg ex;
-    ex.engine = t.engine;
-    ex.ingest_ns = m.ingest_ns;
-    ex.seq = t.seq;
-    ex.batch = t.rows.empty() ? it->second : it->second.select(t.rows);
-    if (t.worker == hello_.worker_index) {
-      // Own-engine slice: same seq-ordered path a shipped one would take.
-      apply_execute(std::move(ex), out);
-    } else {
-      ships.push_back({t.worker, wire::encode_execute(ex)});
+  // One frame per destination worker, its pieces in decision (route)
+  // order; the own-worker share takes the same seq-ordered path a shipped
+  // frame would. Nothing is applied before every target checked out.
+  const auto& runs = it->second;
+  std::map<std::uint32_t, wire::ExecuteMsg> by_worker;
+  for (const auto& t : m.targets) {
+    if (t.run >= runs.size()) {
+      throw wire::Error{"node: route decision names run " +
+                        std::to_string(t.run) + " of a " +
+                        std::to_string(runs.size()) + "-run job"};
     }
+    const runtime::TupleBatch& run = *runs[t.run];
+    for (const std::uint32_t row : t.rows) {
+      if (row >= run.size()) {
+        throw wire::Error{"node: route decision row out of range"};
+      }
+    }
+    by_worker[t.worker].pieces.push_back(
+        {t.engine, t.seq, m.ingest_ns,
+         t.rows.empty() ? run : run.select(t.rows)});
   }
   retained_.erase(it);
   decided_.insert(m.job);
+  for (auto& [worker, ex] : by_worker) {
+    if (worker == hello_.worker_index) {
+      apply_execute(std::move(ex), out);
+    } else {
+      ships.push_back({worker, wire::encode_execute(ex)});
+    }
+  }
 }
 
 void Site::emit_stats_sample(std::vector<Frame>& out) {
@@ -530,14 +577,13 @@ void Site::on_migrate_in(wire::MigrateInMsg m, std::vector<Frame>& out) {
   // Resume execute ordering at the handoff's cut point, then re-apply any
   // peer shipments that arrived for this engine before it existed here.
   exec_seq_[m.engine.value()].expected = m.exec_seq;
-  std::vector<wire::ExecuteMsg> held;
-  std::vector<wire::ExecuteMsg> rest;
-  for (auto& ex : held_peer_execs_) {
-    (ex.engine == m.engine ? held : rest).push_back(std::move(ex));
-  }
-  held_peer_execs_ = std::move(rest);
-  for (auto& ex : held) apply_execute(std::move(ex), out);
-  pump_gate(out);
+  wire::ExecuteMsg held;
+  std::erase_if(held_peer_pieces_, [&](wire::ExecutePiece& p) {
+    if (p.engine != m.engine) return false;
+    held.pieces.push_back(std::move(p));
+    return true;
+  });
+  apply_execute(std::move(held), out);
   out.push_back(wire::encode_migrate_ack({m.engine}));
 }
 

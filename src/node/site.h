@@ -14,11 +14,14 @@
 // while engine work (execute batches, watermarks) is dispatched into the
 // runtime's shard queues, each engine pinned to one shard.
 //
-// Ordering: the driver assigns every execute an absolute per-engine seq
-// (route order). The site applies an engine's executes strictly in seq
+// Ordering: a kExecute frame carries several pieces (one engine's slice of
+// one run each), and the driver assigns every piece an absolute per-engine
+// seq (route order). The site applies an engine's pieces strictly in seq
 // order — holding back early arrivals, dropping replayed duplicates — so
-// engine input order (and hence result byte-identity) survives executes
+// engine input order (and hence result byte-identity) survives pieces
 // arriving over multiple channels (driver, peer links, recovery replay).
+// The in-order pieces of one engine that a frame releases reach its shard
+// as one runtime task, dispatched before any watermark or flush task.
 // Watermarks and flushes carry per-engine floors and wait in a FIFO gate
 // until every floored execute has been applied: pruning join state early
 // could drop tuples an in-flight batch would still join with, and a flush
@@ -76,8 +79,8 @@ class Site {
   bool handle(const wire::Frame& frame, std::vector<wire::Frame>& out);
 
   /// Entry point for a kExecute frame that arrived on a peer link (called
-  /// from that link's reader thread). Unknown engines are held — a
-  /// survivor's shipment can beat the driver's kMigrateIn to a respawned
+  /// from that link's reader thread). Pieces for unknown engines are held —
+  /// a survivor's shipment can beat the driver's kMigrateIn to a respawned
   /// worker — and re-applied when the engine arrives.
   void apply_peer_execute(wire::ExecuteMsg m);
 
@@ -126,7 +129,7 @@ class Site {
   /// Per-engine execute ordering state.
   struct EngineSeq {
     std::uint64_t expected = 0;  ///< next seq to apply
-    std::map<std::uint64_t, wire::ExecuteMsg> holdback;  ///< early arrivals
+    std::map<std::uint64_t, wire::ExecutePiece> holdback;  ///< early arrivals
   };
   /// A watermark/flush waiting in the FIFO gate for its floors.
   struct Gated {
@@ -157,11 +160,16 @@ class Site {
                       std::vector<wire::Frame>& out);
   void on_migrate_in(wire::MigrateInMsg m, std::vector<wire::Frame>& out);
 
-  /// Seq-ordered apply: dispatches at `expected`, drains the holdback, then
-  /// pumps the gate. Drops seqs below `expected` (recovery replay).
+  /// Seq-ordered apply of every piece (sequence_piece), then dispatches
+  /// the staged tasks and pumps the gate.
   void apply_execute(wire::ExecuteMsg m, std::vector<wire::Frame>& out);
-  /// Dispatches one batch into the engine's shard queue (no seq logic).
-  void dispatch_execute(wire::ExecuteMsg m);
+  /// Stages the piece at `expected` and drains its engine's holdback after
+  /// it; holds back later seqs and drops earlier ones (recovery replay).
+  void sequence_piece(wire::ExecutePiece p);
+  /// Appends one piece's batch to its engine's staged task (no seq logic).
+  void stage_piece(wire::ExecutePiece p);
+  /// Dispatches every staged task into its engine's shard queue.
+  void dispatch_staged();
   /// True when every floor naming an engine hosted here is satisfied.
   [[nodiscard]] bool floors_met(
       const std::vector<wire::EngineFloor>& floors) const;
@@ -210,12 +218,20 @@ class Site {
   /// or migrate-in (expected = the handoff's cut point), erased with the
   /// engine on migrate-out.
   std::unordered_map<std::uint64_t, EngineSeq> exec_seq_;
-  /// Peer executes for engines not (yet) hosted here; re-applied on
+  /// Peer pieces for engines not (yet) hosted here; re-applied on
   /// migrate-in.
-  std::vector<wire::ExecuteMsg> held_peer_execs_;
-  /// Match-request batches retained by job until the driver's
-  /// kRouteDecision slices and frees them.
-  std::map<std::uint64_t, runtime::TupleBatch> retained_;
+  std::vector<wire::ExecutePiece> held_peer_pieces_;
+  /// In-order pieces released by the frame being applied: one task per
+  /// engine (in first-release order), each holding that engine's runs in
+  /// seq order; staged_at_ maps an engine id to its open task. A piece with
+  /// another ingest stamp opens a fresh task (the stamp is per task).
+  std::vector<runtime::Runtime::Task> staged_;
+  std::unordered_map<std::uint64_t, std::size_t> staged_at_;
+  /// Match-request runs retained by job until the driver's kRouteDecision
+  /// slices and frees them.
+  std::map<std::uint64_t,
+           std::vector<std::shared_ptr<const runtime::TupleBatch>>>
+      retained_;
   /// Jobs whose decision already applied, so a duplicated kRouteDecision
   /// (or a late duplicate kMatchRequest) is a no-op. Each kFlush forgets
   /// the jobs decided before the previous one (below `decided_mark_`): a

@@ -52,7 +52,10 @@ inline constexpr std::uint32_t kMagic = 0x434F534Du;  // "COSM"
 /// requesting replay of executes lost on a live-but-lossy link.
 /// v4: peer routing is the only data path — kHello drops its peer-link
 /// flag; every match owner retains its batches for kRouteDecision.
-inline constexpr std::uint16_t kProtocolVersion = 4;
+/// v5: chunk-granular data frames — kMatchRequest / kMatchResponse /
+/// kRouteDecision carry every run of one chunk for one stream owner, and
+/// kExecute carries an ordered list of (engine, seq, ingest, batch) pieces.
+inline constexpr std::uint16_t kProtocolVersion = 5;
 /// Upper bound on one frame's payload; decode rejects larger claims so a
 /// corrupt length prefix cannot trigger a giant allocation.
 inline constexpr std::uint32_t kMaxPayloadBytes = 1u << 30;
@@ -64,9 +67,9 @@ enum class FrameType : std::uint16_t {
   kRegisterStream = 4, ///< advertise: stream, publisher, schema
   kSubscribe = 5,      ///< full Subscription (p1 registration)
   kDeployUnit = 6,     ///< unit id, host, result stream, QuerySpec
-  kMatchRequest = 7,   ///< job seq + TupleBatch to match
-  kMatchResponse = 8,  ///< job seq + per-subscription matched row sets
-  kExecute = 9,        ///< engine node + pre-routed TupleBatch
+  kMatchRequest = 7,   ///< job seq + one chunk's runs for one owner
+  kMatchResponse = 8,  ///< job seq + per-run, per-subscription row sets
+  kExecute = 9,        ///< ordered (engine, seq, ingest, batch) pieces
   kResult = 10,        ///< batch of (result stream, tuple) events
   kWatermark = 11,     ///< stream-time watermark: prune idle join state
   kFlush = 12,         ///< seq: drain runtime, ship results, then ack
@@ -81,7 +84,7 @@ enum class FrameType : std::uint16_t {
   kBye = 21,           ///< orderly end of session
   kStatsSample = 22,   ///< node -> driver: metrics snapshot + trace spans
   kPeerTable = 23,     ///< driver -> node: worker-index -> endpoint table
-  kRouteDecision = 24, ///< driver -> owner: per-target slices of a match job
+  kRouteDecision = 24, ///< driver -> owner: per-run target slices of a job
   kPeerHello = 25,     ///< worker -> worker: first frame of a peer link
   kHeartbeat = 26,     ///< either direction: liveness keepalive / echo probe
   kPeerHelloAck = 27,  ///< worker -> worker: peer link is live end to end

@@ -209,7 +209,8 @@ DeployUnitMsg decode_deploy_unit(const Frame& f) {
 Frame encode_match_request(const MatchRequestMsg& m) {
   Writer w;
   w.u64(m.job);
-  encode_batch(w, m.batch);
+  w.u32(static_cast<std::uint32_t>(m.runs.size()));
+  for (const auto& run : m.runs) encode_batch(w, *run);
   return finish(FrameType::kMatchRequest, std::move(w));
 }
 
@@ -217,7 +218,13 @@ MatchRequestMsg decode_match_request(const Frame& f) {
   auto r = open(f, FrameType::kMatchRequest);
   MatchRequestMsg m;
   m.job = r.u64();
-  m.batch = decode_batch(r);
+  const std::uint32_t runs = r.u32();
+  check_count(runs, r.remaining(), "match run");
+  m.runs.reserve(runs);
+  for (std::uint32_t i = 0; i < runs; ++i) {
+    m.runs.push_back(
+        std::make_shared<const runtime::TupleBatch>(decode_batch(r)));
+  }
   r.done();
   return m;
 }
@@ -225,11 +232,14 @@ MatchRequestMsg decode_match_request(const Frame& f) {
 Frame encode_match_response(const MatchResponseMsg& m) {
   Writer w;
   w.u64(m.job);
-  w.u32(static_cast<std::uint32_t>(m.deliveries.size()));
-  for (const auto& [sub, rows] : m.deliveries) {
-    w.u32(sub.value());
-    w.u32(static_cast<std::uint32_t>(rows.size()));
-    for (std::uint32_t row : rows) w.u32(row);
+  w.u32(static_cast<std::uint32_t>(m.runs.size()));
+  for (const auto& run : m.runs) {
+    w.u32(static_cast<std::uint32_t>(run.size()));
+    for (const auto& [sub, rows] : run) {
+      w.u32(sub.value());
+      w.u32(static_cast<std::uint32_t>(rows.size()));
+      for (std::uint32_t row : rows) w.u32(row);
+    }
   }
   return finish(FrameType::kMatchResponse, std::move(w));
 }
@@ -238,17 +248,22 @@ MatchResponseMsg decode_match_response(const Frame& f) {
   auto r = open(f, FrameType::kMatchResponse);
   MatchResponseMsg m;
   m.job = r.u64();
-  const std::uint32_t deliveries = r.u32();
-  check_count(deliveries, r.remaining(), "match delivery");
-  m.deliveries.reserve(deliveries);
-  for (std::uint32_t i = 0; i < deliveries; ++i) {
-    const SubscriptionId sub{r.u32()};
-    const std::uint32_t rows = r.u32();
-    check_count(rows, r.remaining(), "matched row");
-    std::vector<std::uint32_t> indices;
-    indices.reserve(rows);
-    for (std::uint32_t j = 0; j < rows; ++j) indices.push_back(r.u32());
-    m.deliveries.emplace_back(sub, std::move(indices));
+  const std::uint32_t runs = r.u32();
+  check_count(runs, r.remaining(), "match response run");
+  m.runs.resize(runs);
+  for (auto& run : m.runs) {
+    const std::uint32_t deliveries = r.u32();
+    check_count(deliveries, r.remaining(), "match delivery");
+    run.reserve(deliveries);
+    for (std::uint32_t i = 0; i < deliveries; ++i) {
+      const SubscriptionId sub{r.u32()};
+      const std::uint32_t rows = r.u32();
+      check_count(rows, r.remaining(), "matched row");
+      std::vector<std::uint32_t> indices;
+      indices.reserve(rows);
+      for (std::uint32_t j = 0; j < rows; ++j) indices.push_back(r.u32());
+      run.emplace_back(sub, std::move(indices));
+    }
   }
   r.done();
   return m;
@@ -256,20 +271,28 @@ MatchResponseMsg decode_match_response(const Frame& f) {
 
 Frame encode_execute(const ExecuteMsg& m) {
   Writer w;
-  encode_node_id(w, m.engine);
-  encode_batch(w, m.batch);
-  w.u64(m.ingest_ns);
-  w.u64(m.seq);
+  w.u32(static_cast<std::uint32_t>(m.pieces.size()));
+  for (const auto& p : m.pieces) {
+    encode_node_id(w, p.engine);
+    w.u64(p.seq);
+    w.u64(p.ingest_ns);
+    encode_batch(w, p.batch);
+  }
   return finish(FrameType::kExecute, std::move(w));
 }
 
 ExecuteMsg decode_execute(const Frame& f) {
   auto r = open(f, FrameType::kExecute);
   ExecuteMsg m;
-  m.engine = decode_node_id(r);
-  m.batch = decode_batch(r);
-  m.ingest_ns = r.u64();
-  m.seq = r.u64();
+  const std::uint32_t pieces = r.u32();
+  check_count(pieces, r.remaining(), "execute piece");
+  m.pieces.resize(pieces);
+  for (auto& p : m.pieces) {
+    p.engine = decode_node_id(r);
+    p.seq = r.u64();
+    p.ingest_ns = r.u64();
+    p.batch = decode_batch(r);
+  }
   r.done();
   return m;
 }
@@ -632,6 +655,7 @@ Frame encode_route_decision(const RouteDecisionMsg& m) {
   w.u64(m.ingest_ns);
   w.u32(static_cast<std::uint32_t>(m.targets.size()));
   for (const auto& t : m.targets) {
+    w.u32(t.run);
     encode_node_id(w, t.engine);
     w.u32(t.worker);
     w.u64(t.seq);
@@ -651,6 +675,7 @@ RouteDecisionMsg decode_route_decision(const Frame& f) {
   m.targets.reserve(targets);
   for (std::uint32_t i = 0; i < targets; ++i) {
     RouteDecisionMsg::Target t;
+    t.run = r.u32();
     t.engine = decode_node_id(r);
     t.worker = r.u32();
     t.seq = r.u64();

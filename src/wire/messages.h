@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -80,38 +81,52 @@ struct DeployUnitMsg {
   query::QuerySpec spec;
 };
 
+/// Driver -> stream owner, one per (chunk, owner): every run of the chunk
+/// whose stream this worker owns (and that has a subscription), in chunk
+/// order. The owner retains the runs until the job's kRouteDecision.
 struct MatchRequestMsg {
   std::uint64_t job = 0;  ///< driver-assigned sequence, echoed in the reply
-  runtime::TupleBatch batch;
+  std::vector<std::shared_ptr<const runtime::TupleBatch>> runs;
 };
+
+/// Matched ascending row indices per subscription of one run, in the
+/// partition's first-match order (same order BrokerPartition::match_batch
+/// appends).
+using RunDeliveries =
+    std::vector<std::pair<SubscriptionId, std::vector<std::uint32_t>>>;
 
 struct MatchResponseMsg {
   std::uint64_t job = 0;
-  /// Matched ascending row indices per subscription, in the partition's
-  /// first-match order (same order BrokerPartition::match_batch appends).
-  std::vector<std::pair<SubscriptionId, std::vector<std::uint32_t>>>
-      deliveries;
+  std::vector<RunDeliveries> runs;  ///< parallel to the request's runs
 };
 
-struct ExecuteMsg {
+/// One engine's slice of one run: the unit of execute sequencing.
+struct ExecutePiece {
   NodeId engine;  ///< hosting node of the target engine
-  runtime::TupleBatch batch;  ///< pre-routed rows, in engine input order
-  /// Ingest stamp (common/clock.h now_ns) of the chunk these rows came
-  /// from; echoed back on every result the batch produces so the driver
-  /// can close the end-to-end latency measurement. 0 = not measured.
-  std::uint64_t ingest_ns = 0;
   /// Driver-assigned per-engine sequence number (route order). The site
-  /// applies an engine's executes strictly in seq order — holding back
+  /// applies an engine's pieces strictly in seq order — holding back
   /// early arrivals and dropping duplicates — which is what keeps result
-  /// byte-identity when executes arrive over multiple channels (peer links,
+  /// byte-identity when pieces arrive over multiple channels (peer links,
   /// recovery replay).
   std::uint64_t seq = 0;
+  /// Ingest stamp (common/clock.h now_ns) of the chunk these rows came
+  /// from; echoed back on every result the piece produces so the driver
+  /// can close the end-to-end latency measurement. 0 = not measured.
+  std::uint64_t ingest_ns = 0;
+  runtime::TupleBatch batch;  ///< pre-routed rows, in engine input order
+};
+
+/// Every piece one sender has for one destination worker, in route order:
+/// one frame per (chunk, owner, target worker) on the data path, and
+/// bounded groups of the data log on replay.
+struct ExecuteMsg {
+  std::vector<ExecutePiece> pieces;
 };
 
 struct ResultEventMsg {
   std::string stream;  ///< unit result stream
   stream::Tuple tuple;
-  std::uint64_t ingest_ns = 0;  ///< see ExecuteMsg::ingest_ns
+  std::uint64_t ingest_ns = 0;  ///< see ExecutePiece::ingest_ns
 };
 
 struct ResultMsg {
@@ -214,19 +229,21 @@ struct PeerTableMsg {
   std::vector<std::string> endpoints;  ///< endpoints[i] = worker i
 };
 
-/// Driver -> owner worker: how to slice + ship one match
-/// job's retained batch. One decision per matched run, sent even when
-/// `targets` is empty so the owner can free the retained batch.
+/// Driver -> owner worker: how to slice + ship one match job's retained
+/// runs. One decision per job, sent even when `targets` is empty so the
+/// owner can free the retained runs; the owner ships one kExecute per
+/// target worker holding that worker's targets in decision order.
 struct RouteDecisionMsg {
   struct Target {
+    std::uint32_t run = 0;      ///< index into the job's retained runs
     NodeId engine;
     std::uint32_t worker = 0;   ///< destination worker index
     std::uint64_t seq = 0;      ///< driver-assigned per-engine execute seq
-    /// Ascending row indices of the retained batch; empty = all rows.
+    /// Ascending row indices of the retained run; empty = all rows.
     std::vector<std::uint32_t> rows;
   };
   std::uint64_t job = 0;        ///< the kMatchRequest job this routes
-  std::uint64_t ingest_ns = 0;  ///< echoed onto every produced kExecute
+  std::uint64_t ingest_ns = 0;  ///< echoed onto every produced piece
   std::vector<Target> targets;
 };
 

@@ -22,10 +22,14 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
+#include "common/rng.h"
 #include "cosmos/cosmos.h"
+#include "cql/parser.h"
 #include "node/spawn.h"
+#include "sim/sensor_trace.h"
 #include "support/random_workload.h"
 
 namespace cosmos::middleware {
@@ -264,6 +268,158 @@ TEST(Federation, DeadWorkerMidRunThrowsCleanly) {
     EXPECT_FALSE(std::string{e.what()}.empty());
   }
   killer.join();
+}
+
+/// A 12-station sensor trace — readings interleave across stations, so a
+/// chunk cuts into about one one-row run per tuple — with sources spread
+/// over four publisher nodes (both workers own streams) and a seeded mix
+/// of selections and joins hosted across the non-source nodes.
+struct InterleavedWorkload {
+  testsupport::RandomWorkload base = make_workload(2);
+  std::vector<runtime::TraceEvent> events;
+  std::vector<std::tuple<std::string, NodeId, NodeId>> queries;
+
+  InterleavedWorkload() {
+    sim::SensorTraceParams p;
+    p.stations = 12;
+    p.readings_per_station = 40;
+    Rng rng{2026};
+    for (const auto& r : sim::make_sensor_trace(p, rng)) {
+      events.push_back({testsupport::station(r.station), r.tuple});
+    }
+    // Hosts and proxies cycle through the non-source nodes (2..n-1).
+    const auto n = static_cast<NodeId::value_type>(base.nodes.size());
+    const auto node = [n](NodeId::value_type k) {
+      return NodeId{static_cast<NodeId::value_type>(2 + k % (n - 2))};
+    };
+    for (NodeId::value_type q = 0; q < 10; ++q) {
+      queries.emplace_back(testsupport::random_query_text(rng, 12), node(q),
+                           node(q + 1));
+    }
+  }
+
+  std::unique_ptr<Cosmos> build(ResultLog& log) const {
+    auto sys = std::make_unique<Cosmos>(base.nodes, base.lat);
+    for (std::size_t st = 0; st < 12; ++st) {
+      sys->register_source(testsupport::station(st), sim::sensor_schema(),
+                           base.nodes[st % 4]);
+    }
+    QueryId::value_type qid = 0;
+    for (const auto& [text, host, proxy] : queries) {
+      sys->submit(cql::parse_query(text, QueryId{qid++}, proxy), host,
+                  [&log](QueryId q, const stream::Tuple& t) {
+                    std::string line = std::to_string(t.ts);
+                    for (const auto& v : t.values) line += "|" + v.to_string();
+                    log[q].push_back(std::move(line));
+                  });
+    }
+    return sys;
+  }
+};
+
+TEST(Federation, DataFramesAreChunkGranular) {
+  // Frames per chunk must not scale with the runs a chunk holds: the driver
+  // sends each worker at most one match request, one route decision and
+  // one watermark per chunk (plus the occasional fleet-wide floor flush),
+  // and each owner ships at most one execute frame per other worker.
+  const InterleavedWorkload w;
+  ResultLog push_log;
+  {
+    auto sys = w.build(push_log);
+    for (const auto& ev : w.events) sys->push(ev.stream, ev.tuple);
+  }
+  std::size_t total_results = 0;
+  for (const auto& [q, lines] : push_log) total_results += lines.size();
+  ASSERT_GT(total_results, 0u);
+
+  constexpr std::size_t kWorkers = 2;
+  struct Frames {
+    std::uint64_t driver = 0;
+    std::uint64_t peer = 0;
+    std::size_t chunks = 0;
+  };
+  const auto run = [&](std::size_t batch, bool with_data) {
+    auto fleet = spawn_fleet(kWorkers, "gran");
+    ResultLog fed_log;
+    auto sys = w.build(fed_log);
+    Cosmos::FederationOptions opts;
+    opts.workers = fleet.endpoints;
+    opts.batch_size = batch;
+    opts.tick_ms = 20 * 60'000;
+    opts.liveness.heartbeat_every_ms = 0;  // count data frames only
+    const auto report = sys->run_federated(
+        with_data ? w.events : std::vector<runtime::TraceEvent>{}, opts);
+    if (with_data) EXPECT_EQ(fed_log, push_log) << "batch=" << batch;
+    for (auto& p : fleet.procs) EXPECT_EQ(p.wait(), 0);
+    Frames f;
+    for (const auto& link : report.federation.links) {
+      f.driver += link.frames_sent;
+    }
+    f.peer = report.federation.peer_frames;
+    f.chunks = report.chunks;
+    EXPECT_EQ(report.federation.driver_execute_bytes, 0u);
+    return f;
+  };
+  // Registration, barrier and shutdown frames alone: a run with no data.
+  const Frames control = run(16, false);
+  ASSERT_EQ(control.chunks, 0u);
+
+  for (const std::size_t batch : {16, 128}) {
+    const Frames f = run(batch, true);
+    ASSERT_GT(f.chunks, 0u);
+    ASSERT_GE(f.driver, control.driver);
+    // At most one match request, one route decision and one watermark per
+    // worker per chunk, plus the floor flushes: bounded by 4 per worker,
+    // however many runs the chunk was cut into.
+    const double per_chunk = static_cast<double>(f.driver - control.driver) /
+                             static_cast<double>(f.chunks);
+    EXPECT_LE(per_chunk, 4.0 * kWorkers)
+        << "batch=" << batch << ": driver frames grow with runs per chunk";
+    // Each (owner, other worker) pair carries at most one execute frame per
+    // chunk, plus one kPeerHello per dialed link.
+    EXPECT_LE(f.peer, f.chunks * kWorkers * (kWorkers - 1) +
+                          kWorkers * (kWorkers - 1))
+        << "batch=" << batch << ", " << f.chunks << " chunks";
+    EXPECT_GT(f.peer, 0u);
+  }
+}
+
+TEST(Federation, RegistrationFramesDoNotGrowWithMerges) {
+  // Every merge into a unit supersedes its result stream, and the broker
+  // keeps the superseded partition. Workers only match source streams, so
+  // the driver registers exactly those: a run's registration traffic must
+  // not grow with the number of merges behind its units.
+  const auto w = make_workload(1);
+  const auto frames_sent = [&](int queries) {
+    auto fleet = spawn_fleet(2, "merge");
+    ResultLog log;
+    Cosmos sys{w.nodes, w.lat};
+    for (std::size_t st = 0; st < w.stations; ++st) {
+      sys.register_source(testsupport::station(st), sim::sensor_schema(),
+                          w.nodes[st % 2]);
+    }
+    for (int q = 0; q < queries; ++q) {
+      const std::string text = "SELECT S.snowHeight, S.timestamp FROM " +
+                               testsupport::station(0) +
+                               " [Now] S WHERE S.snowHeight > " +
+                               std::to_string(10 + q);
+      const QueryId id{static_cast<QueryId::value_type>(q)};
+      sys.submit(cql::parse_query(text, id, w.nodes[3]), w.nodes[2],
+                 [](QueryId, const stream::Tuple&) {});
+    }
+    EXPECT_EQ(sys.deployed_units(), 1u) << queries << " queries";
+    Cosmos::FederationOptions opts;
+    opts.workers = fleet.endpoints;
+    opts.liveness.heartbeat_every_ms = 0;
+    const auto report = sys.run_federated(w.events, opts);
+    for (auto& p : fleet.procs) EXPECT_EQ(p.wait(), 0);
+    std::uint64_t frames = 0;
+    for (const auto& link : report.federation.links) {
+      frames += link.frames_sent;
+    }
+    return frames;
+  };
+  EXPECT_EQ(frames_sent(8), frames_sent(1));
 }
 
 TEST(Federation, RefusesEmptyWorkerList) {

@@ -68,9 +68,8 @@ runtime::TupleBatch one_row(const std::string& stream, stream::Timestamp ts) {
 
 wire::ExecuteMsg exec_msg(std::uint64_t seq) {
   wire::ExecuteMsg exec;
-  exec.engine = NodeId{3};
-  exec.batch = one_row("S3", 10 + static_cast<stream::Timestamp>(seq));
-  exec.seq = seq;
+  const auto ts = 10 + static_cast<stream::Timestamp>(seq);
+  exec.pieces.push_back({NodeId{3}, seq, 0, one_row("S3", ts)});
   return exec;
 }
 

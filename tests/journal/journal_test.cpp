@@ -59,10 +59,8 @@ runtime::TupleBatch small_batch(const std::string& stream,
 wire::ExecuteMsg make_exec(std::uint32_t engine, std::uint64_t seq,
                            stream::Timestamp ts) {
   wire::ExecuteMsg exec;
-  exec.engine = NodeId{engine};
-  exec.batch = small_batch("S" + std::to_string(engine), ts);
-  exec.ingest_ns = 1'000 + seq;
-  exec.seq = seq;
+  exec.pieces.push_back({NodeId{engine}, seq, 1'000 + seq,
+                         small_batch("S" + std::to_string(engine), ts)});
   return exec;
 }
 
@@ -119,11 +117,11 @@ TEST_F(JournalTest, FreshRunRoundTrips) {
   EXPECT_TRUE(rec.engines.empty());
 
   ASSERT_EQ(rec.executes.size(), 3u);
-  EXPECT_EQ(rec.executes[0].engine.value(), 3u);
-  EXPECT_EQ(rec.executes[0].seq, 0u);
-  EXPECT_EQ(rec.executes[2].seq, 1u);
-  EXPECT_EQ(rec.executes[2].batch.size(), 1u);
-  EXPECT_EQ(rec.executes[2].batch.ts(0), 20);
+  EXPECT_EQ(rec.executes[0].pieces[0].engine.value(), 3u);
+  EXPECT_EQ(rec.executes[0].pieces[0].seq, 0u);
+  EXPECT_EQ(rec.executes[2].pieces[0].seq, 1u);
+  EXPECT_EQ(rec.executes[2].pieces[0].batch.size(), 1u);
+  EXPECT_EQ(rec.executes[2].pieces[0].batch.ts(0), 20);
 
   // Delivered floors sum per stream, in stream order.
   ASSERT_EQ(rec.delivered.size(), 2u);
@@ -155,7 +153,7 @@ TEST_F(JournalTest, PartialChunkExecutesAreDiscarded) {
   }
   const auto rec = recover(dir_);
   ASSERT_EQ(rec.executes.size(), 1u);
-  EXPECT_EQ(rec.executes[0].seq, 0u);
+  EXPECT_EQ(rec.executes[0].pieces[0].seq, 0u);
   EXPECT_EQ(rec.resume_events, 5u);
   EXPECT_EQ(rec.resume_chunk, 1u);
   EXPECT_EQ(rec.records_dropped, 2u);
@@ -198,7 +196,7 @@ TEST_F(JournalTest, CheckpointRollsASelfContainedSegment) {
   EXPECT_EQ(rec.engines[0].worker, 1u);
   EXPECT_EQ(rec.engines[0].exec_seq, 1u);
   ASSERT_EQ(rec.executes.size(), 1u);  // only the new epoch's tail
-  EXPECT_EQ(rec.executes[0].seq, 1u);
+  EXPECT_EQ(rec.executes[0].pieces[0].seq, 1u);
   EXPECT_EQ(rec.resume_events, 9u);
   EXPECT_EQ(rec.resume_chunk, 2u);
   EXPECT_EQ(rec.next_segment, 3u);

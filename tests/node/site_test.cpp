@@ -5,6 +5,7 @@
 // migrated).
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -60,9 +61,7 @@ struct Harness {
 
   void exec(NodeId engine, const runtime::TupleBatch& batch) {
     wire::ExecuteMsg m;
-    m.engine = engine;
-    m.batch = batch;
-    m.seq = next_seq[engine.value()]++;
+    m.pieces.push_back({engine, next_seq[engine.value()]++, 0, batch});
     feed(wire::encode_execute(m));
   }
 
@@ -113,16 +112,23 @@ TEST(Site, MatchRequestReturnsPerSubscriptionRows) {
   sub.streams = {"a"};
   h.feed(wire::encode_subscribe({sub}));
 
+  // One job, two runs: per-run deliveries come back in request order, and
+  // a run of an unsubscribed stream matches nothing.
   h.feed(wire::encode_match_request(
-      {42, make_batch("a", {{0, 1.0}, {5, 2.0}, {9, 3.0}})}));
+      {42,
+       {std::make_shared<const runtime::TupleBatch>(
+            make_batch("a", {{0, 1.0}, {5, 2.0}, {9, 3.0}})),
+        std::make_shared<const runtime::TupleBatch>(
+            make_batch("b", {{9, 1.0}}))}}));
   const auto responses = h.of_type(FrameType::kMatchResponse);
   ASSERT_EQ(responses.size(), 1u);
   const auto resp = wire::decode_match_response(responses[0]);
   EXPECT_EQ(resp.job, 42u);
-  ASSERT_EQ(resp.deliveries.size(), 1u);
-  EXPECT_EQ(resp.deliveries[0].first, SubscriptionId{7});
-  EXPECT_EQ(resp.deliveries[0].second,
-            (std::vector<std::uint32_t>{0, 1, 2}));
+  ASSERT_EQ(resp.runs.size(), 2u);
+  ASSERT_EQ(resp.runs[0].size(), 1u);
+  EXPECT_EQ(resp.runs[0][0].first, SubscriptionId{7});
+  EXPECT_EQ(resp.runs[0][0].second, (std::vector<std::uint32_t>{0, 1, 2}));
+  EXPECT_TRUE(resp.runs[1].empty());
 }
 
 TEST(Site, ExecuteFlushShipsJoinResults) {
@@ -147,13 +153,18 @@ TEST(Site, UnexpectedFrameAndUnknownEngineThrow) {
   std::vector<Frame> out;
   EXPECT_THROW(
       (void)h.site.handle(
-          wire::encode_match_request({1, make_batch("a", {{0, 1.0}})}), out),
+          wire::encode_match_request(
+              {1,
+               {std::make_shared<const runtime::TupleBatch>(
+                   make_batch("a", {{0, 1.0}}))}}),
+          out),
       wire::Error);
   h.register_streams();
-  EXPECT_THROW(
-      (void)h.site.handle(
-          wire::encode_execute({NodeId{2}, make_batch("a", {{0, 1.0}})}), out),
-      wire::Error);
+  EXPECT_THROW((void)h.site.handle(
+                   wire::encode_execute(
+                       {{{NodeId{2}, 0, 0, make_batch("a", {{0, 1.0}})}}}),
+                   out),
+               wire::Error);
   EXPECT_THROW(
       (void)h.site.handle(wire::encode_match_response({1, {}}), out),
       wire::Error);
@@ -306,13 +317,9 @@ TEST(Site, PeerExecutesReorderBySeqAndDropDuplicates) {
   h.site.set_emit([&](Frame f) { emitted.push_back(std::move(f)); });
 
   wire::ExecuteMsg e0;
-  e0.engine = NodeId{2};
-  e0.batch = make_batch("a", {{1000, 5.0}});
-  e0.seq = 0;
+  e0.pieces.push_back({NodeId{2}, 0, 0, make_batch("a", {{1000, 5.0}})});
   wire::ExecuteMsg e1;
-  e1.engine = NodeId{2};
-  e1.batch = make_batch("b", {{2000, 4.0}});
-  e1.seq = 1;
+  e1.pieces.push_back({NodeId{2}, 1, 0, make_batch("b", {{2000, 4.0}})});
 
   h.site.apply_peer_execute(e1);  // early: held back until seq 0 lands
   h.site.apply_peer_execute(e0);
@@ -338,6 +345,126 @@ TEST(Site, PeerExecutesReorderBySeqAndDropDuplicates) {
   }
   EXPECT_TRUE(acked);
   EXPECT_EQ(lines, control.results);
+}
+
+/// Result lines carried by emitted kResult frames, in emission order.
+std::vector<std::string> result_lines(const std::vector<Frame>& frames) {
+  std::vector<std::string> lines;
+  for (const auto& f : frames) {
+    if (f.type != FrameType::kResult) continue;
+    for (const auto& ev : wire::decode_result(f).events) {
+      std::string line = ev.stream + ":" + std::to_string(ev.tuple.ts);
+      for (const auto& v : ev.tuple.values) line += "|" + v.to_string();
+      lines.push_back(std::move(line));
+    }
+  }
+  return lines;
+}
+
+/// Four join inputs for engine 2 whose result sequence depends on their
+/// order: piece i carries seq i.
+std::vector<wire::ExecutePiece> ordered_join_pieces() {
+  return {{NodeId{2}, 0, 0, make_batch("a", {{1000, 5.0}})},
+          {NodeId{2}, 1, 0, make_batch("b", {{2000, 4.0}})},
+          {NodeId{2}, 2, 0, make_batch("a", {{3000, 6.0}})},
+          {NodeId{2}, 3, 0, make_batch("b", {{4000, 3.0}})}};
+}
+
+/// Applies `frames` over the peer path of a fresh join site, then flushes
+/// at the engine's seq frontier; returns the emitted result lines.
+std::vector<std::string> peer_apply(const std::vector<wire::ExecuteMsg>& frames,
+                                    std::uint64_t frontier) {
+  Harness h;
+  h.register_streams();
+  h.deploy_join_unit();
+  std::vector<Frame> emitted;
+  h.site.set_emit([&](Frame f) { emitted.push_back(std::move(f)); });
+  for (const auto& m : frames) h.site.apply_peer_execute(m);
+  std::vector<Frame> out;
+  EXPECT_TRUE(
+      h.site.handle(wire::encode_flush({9, {{NodeId{2}, frontier}}}), out));
+  bool acked = false;
+  for (const auto& f : emitted) acked |= f.type == FrameType::kFlushAck;
+  EXPECT_TRUE(acked);
+  return result_lines(emitted);
+}
+
+TEST(Site, PiecesSplitAcrossOwnersApplyInSeqOrder) {
+  const auto pieces = ordered_join_pieces();
+  Harness control;
+  control.register_streams();
+  control.deploy_join_unit();
+  for (const auto& p : pieces) control.exec(p.engine, p.batch);
+  control.feed(wire::encode_flush({1}));
+  ASSERT_EQ(control.results.size(), 4u);
+
+  // Two owners' frames for the same engine, interleaved in seq: the frame
+  // holding seqs 1 and 3 lands first and is held back whole; the other
+  // frame's seq 0 releases the rest in seq order.
+  wire::ExecuteMsg odd;
+  odd.pieces = {pieces[1], pieces[3]};
+  wire::ExecuteMsg even;
+  even.pieces = {pieces[0], pieces[2]};
+  EXPECT_EQ(peer_apply({odd, even}, 4), control.results);
+}
+
+TEST(Site, DuplicatedMultiPieceFrameIsFullyDeduped) {
+  const auto pieces = ordered_join_pieces();
+  wire::ExecuteMsg all;
+  all.pieces = pieces;
+  const auto once = peer_apply({all}, 4);
+  ASSERT_EQ(once.size(), 4u);
+  // A replayed copy of the whole frame — and one overlapping it — adds
+  // nothing: every piece is below the engine's frontier by then.
+  wire::ExecuteMsg tail;
+  tail.pieces = {pieces[2], pieces[3]};
+  EXPECT_EQ(peer_apply({all, all, tail}, 4), once);
+}
+
+TEST(Site, MultiPieceFrameReachesTheShardAsOneTask) {
+  Harness h;
+  wire::HelloMsg hello;
+  hello.stats_sample_every_ms = std::int64_t{1} << 40;
+  h.feed(wire::encode_hello(hello));
+  h.register_streams();
+  h.deploy_join_unit();
+  wire::ExecuteMsg all;
+  all.pieces = ordered_join_pieces();
+  h.feed(wire::encode_execute(all));
+  h.feed(wire::encode_flush({1}));
+  const auto samples = h.of_type(FrameType::kStatsSample);
+  ASSERT_EQ(samples.size(), 1u);
+  const auto sample = wire::decode_stats_sample(samples[0]);
+  ASSERT_NE(sample.metrics.counter("shard.tasks"), nullptr);
+  EXPECT_EQ(*sample.metrics.counter("shard.tasks"), 1u);
+  EXPECT_EQ(*sample.metrics.counter("shard.batches"), 4u);
+  EXPECT_EQ(h.results.size(), 4u);
+}
+
+TEST(Site, RouteDecisionRunIndexOutOfRangeThrows) {
+  Harness h;
+  h.register_streams();
+  h.deploy_join_unit();
+  h.feed(wire::encode_match_request(
+      {5,
+       {std::make_shared<const runtime::TupleBatch>(
+           make_batch("a", {{0, 1.0}}))}}));
+  wire::RouteDecisionMsg route;
+  route.job = 5;
+  route.targets.push_back({1, NodeId{2}, 0, 0, {}});  // the job has 1 run
+  std::vector<Frame> out;
+  EXPECT_THROW((void)h.site.handle(wire::encode_route_decision(route), out),
+               wire::Error);
+
+  // Rows past the run's end are rejected the same way.
+  h.feed(wire::encode_match_request(
+      {6,
+       {std::make_shared<const runtime::TupleBatch>(
+           make_batch("a", {{1, 1.0}}))}}));
+  route.job = 6;
+  route.targets = {{0, NodeId{2}, 0, 0, {0, 1}}};
+  EXPECT_THROW((void)h.site.handle(wire::encode_route_decision(route), out),
+               wire::Error);
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -87,11 +88,12 @@ TEST(WireCodec, BatchRoundTripFuzz) {
     const auto batch = random_batch(rng);
     MatchRequestMsg msg;
     msg.job = rng.next_u64();
-    msg.batch = batch;
+    msg.runs.push_back(std::make_shared<const runtime::TupleBatch>(batch));
     const Frame f = encode_match_request(msg);
     const auto back = decode_match_request(f);
     EXPECT_EQ(back.job, msg.job);
-    ASSERT_EQ(back.batch, batch) << "iteration " << iter;
+    ASSERT_EQ(back.runs.size(), 1u);
+    ASSERT_EQ(*back.runs[0], batch) << "iteration " << iter;
   }
 }
 
@@ -172,8 +174,8 @@ TEST(WireCodec, PeerFramesRoundTrip) {
   RouteDecisionMsg route;
   route.job = 41;
   route.ingest_ns = 777ull;
-  route.targets.push_back({NodeId{3}, 1, 12, {0, 2, 5}});
-  route.targets.push_back({NodeId{9}, 0, 4, {}});
+  route.targets.push_back({0, NodeId{3}, 1, 12, {0, 2, 5}});
+  route.targets.push_back({0, NodeId{9}, 0, 4, {}});
   const auto r = decode_route_decision(encode_route_decision(route));
   EXPECT_EQ(r.job, 41u);
   EXPECT_EQ(r.ingest_ns, 777u);
@@ -231,12 +233,11 @@ TEST(WireCodec, LivenessFramesRoundTrip) {
 TEST(WireCodec, RecoveryFieldsRoundTrip) {
   Rng rng{13};
   ExecuteMsg exec;
-  exec.engine = NodeId{6};
-  exec.batch = runtime::TupleBatch{"S"};
-  exec.batch.push_back(random_tuple(rng, 2, 10));
-  exec.seq = 987'654;
+  exec.pieces.push_back({NodeId{6}, 987'654, 0, runtime::TupleBatch{"S"}});
+  exec.pieces[0].batch.push_back(random_tuple(rng, 2, 10));
   const auto e = decode_execute(encode_execute(exec));
-  EXPECT_EQ(e.seq, 987'654u);
+  ASSERT_EQ(e.pieces.size(), 1u);
+  EXPECT_EQ(e.pieces[0].seq, 987'654u);
 
   const auto keep = decode_migrate_out(encode_migrate_out({NodeId{4}, 1}));
   EXPECT_EQ(keep.engine, NodeId{4});
@@ -353,13 +354,13 @@ TEST(WireCodec, StateHandoffRoundTrip) {
 TEST(WireCodec, ExecuteAndResultCarryIngestStamps) {
   Rng rng{11};
   ExecuteMsg exec;
-  exec.engine = NodeId{6};
-  exec.batch = runtime::TupleBatch{"S"};
-  exec.batch.push_back(random_tuple(rng, 2, 10));
-  exec.ingest_ns = 123'456'789'012ull;
+  exec.pieces.push_back(
+      {NodeId{6}, 0, 123'456'789'012ull, runtime::TupleBatch{"S"}});
+  exec.pieces[0].batch.push_back(random_tuple(rng, 2, 10));
   const auto exec_back = decode_execute(encode_execute(exec));
-  EXPECT_EQ(exec_back.engine, exec.engine);
-  EXPECT_EQ(exec_back.ingest_ns, exec.ingest_ns);
+  ASSERT_EQ(exec_back.pieces.size(), 1u);
+  EXPECT_EQ(exec_back.pieces[0].engine, NodeId{6});
+  EXPECT_EQ(exec_back.pieces[0].ingest_ns, 123'456'789'012ull);
 
   ResultMsg result;
   result.events.push_back({"r1", random_tuple(rng, 1, 20), 42ull});
@@ -461,7 +462,8 @@ TEST(WireCodec, RejectsTruncatedPayload) {
   Rng rng{3};
   MatchRequestMsg msg;
   msg.job = 5;
-  msg.batch = random_batch(rng);
+  msg.runs.push_back(
+      std::make_shared<const runtime::TupleBatch>(random_batch(rng)));
   Frame f = encode_match_request(msg);
   ASSERT_GT(f.payload.size(), 1u);
   f.payload.resize(f.payload.size() / 2);
@@ -488,6 +490,157 @@ TEST(WireCodec, RejectsImplausibleElementCount) {
   w.u32(0x8000'0000u);
   f.payload = w.take();
   EXPECT_THROW((void)decode_result(f), Error);
+}
+
+/// One chunk's worth of each data frame: several runs, per-run deliveries
+/// (one run unmatched), per-run route targets and a multi-engine,
+/// multi-stream execute — the shapes the chunk-granular data path sends.
+struct ChunkFrames {
+  MatchRequestMsg request;
+  MatchResponseMsg response;
+  RouteDecisionMsg route;
+  ExecuteMsg execute;
+};
+
+ChunkFrames chunk_frames(Rng& rng) {
+  ChunkFrames c;
+  c.request.job = 77;
+  for (int i = 0; i < 3; ++i) {
+    auto batch = random_batch(rng);
+    if (batch.empty()) batch.push_back(random_tuple(rng, 2, 5));
+    c.request.runs.push_back(
+        std::make_shared<const runtime::TupleBatch>(std::move(batch)));
+  }
+  c.response.job = 77;
+  c.response.runs = {{{SubscriptionId{4}, {0}}, {SubscriptionId{9}, {0, 1}}},
+                     {},
+                     {{SubscriptionId{2}, {3, 5, 8}}}};
+  c.route.job = 77;
+  c.route.ingest_ns = 31'337;
+  c.route.targets = {{0, NodeId{5}, 1, 10, {}},
+                     {0, NodeId{6}, 0, 3, {0}},
+                     {2, NodeId{5}, 1, 11, {3, 5}}};
+  for (std::uint32_t i = 0; i < 3; ++i) {
+    c.execute.pieces.push_back({NodeId{5 + i % 2}, 100 + i, 900 + i,
+                                *c.request.runs[i]});
+  }
+  return c;
+}
+
+TEST(WireCodec, ChunkFramesRoundTrip) {
+  Rng rng{2026};
+  const auto c = chunk_frames(rng);
+
+  const auto req = decode_match_request(encode_match_request(c.request));
+  EXPECT_EQ(req.job, 77u);
+  ASSERT_EQ(req.runs.size(), 3u);
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(*req.runs[i], *c.request.runs[i]) << "run " << i;
+  }
+
+  const auto resp = decode_match_response(encode_match_response(c.response));
+  EXPECT_EQ(resp.job, 77u);
+  EXPECT_EQ(resp.runs, c.response.runs);
+
+  const auto route = decode_route_decision(encode_route_decision(c.route));
+  EXPECT_EQ(route.ingest_ns, 31'337u);
+  ASSERT_EQ(route.targets.size(), 3u);
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(route.targets[i].run, c.route.targets[i].run);
+    EXPECT_EQ(route.targets[i].engine, c.route.targets[i].engine);
+    EXPECT_EQ(route.targets[i].worker, c.route.targets[i].worker);
+    EXPECT_EQ(route.targets[i].seq, c.route.targets[i].seq);
+    EXPECT_EQ(route.targets[i].rows, c.route.targets[i].rows);
+  }
+
+  const auto exec = decode_execute(encode_execute(c.execute));
+  ASSERT_EQ(exec.pieces.size(), 3u);
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(exec.pieces[i].engine, c.execute.pieces[i].engine);
+    EXPECT_EQ(exec.pieces[i].seq, c.execute.pieces[i].seq);
+    EXPECT_EQ(exec.pieces[i].ingest_ns, c.execute.pieces[i].ingest_ns);
+    EXPECT_EQ(exec.pieces[i].batch, c.execute.pieces[i].batch);
+  }
+
+  // Empty lists are legal: a job with no targets frees the retained runs.
+  EXPECT_TRUE(decode_route_decision(encode_route_decision({5, 0, {}}))
+                  .targets.empty());
+  EXPECT_TRUE(decode_execute(encode_execute({})).pieces.empty());
+}
+
+TEST(WireCodec, ChunkFramesRejectTruncationAtEveryByte) {
+  Rng rng{7};
+  const auto c = chunk_frames(rng);
+  const auto every_prefix_throws = [](Frame f, auto decode) {
+    const auto full = f.payload;
+    for (std::size_t len = 0; len < full.size(); ++len) {
+      f.payload.assign(full.begin(),
+                       full.begin() + static_cast<std::ptrdiff_t>(len));
+      EXPECT_THROW((void)decode(f), Error)
+          << wire::to_string(f.type) << " truncated to " << len << " of "
+          << full.size() << " bytes";
+    }
+  };
+  every_prefix_throws(encode_match_request(c.request),
+                      [](const Frame& f) { return decode_match_request(f); });
+  every_prefix_throws(encode_match_response(c.response),
+                      [](const Frame& f) { return decode_match_response(f); });
+  every_prefix_throws(encode_route_decision(c.route),
+                      [](const Frame& f) { return decode_route_decision(f); });
+  every_prefix_throws(encode_execute(c.execute),
+                      [](const Frame& f) { return decode_execute(f); });
+}
+
+TEST(WireCodec, RejectsImplausibleRunAndPieceCounts) {
+  // Each count claims far more elements than the bytes left could hold:
+  // check_count must reject it before any allocation.
+  const auto frame = [](FrameType type, auto write) {
+    Writer w;
+    write(w);
+    return Frame{type, w.take()};
+  };
+  EXPECT_THROW((void)decode_match_request(
+                   frame(FrameType::kMatchRequest, [](Writer& w) {
+                     w.u64(1);
+                     w.u32(0x4000'0000u);  // runs
+                   })),
+               Error);
+  EXPECT_THROW((void)decode_match_response(
+                   frame(FrameType::kMatchResponse, [](Writer& w) {
+                     w.u64(1);
+                     w.u32(0x4000'0000u);  // runs
+                   })),
+               Error);
+  EXPECT_THROW((void)decode_match_response(
+                   frame(FrameType::kMatchResponse, [](Writer& w) {
+                     w.u64(1);
+                     w.u32(1);             // runs
+                     w.u32(0x4000'0000u);  // deliveries of run 0
+                   })),
+               Error);
+  EXPECT_THROW((void)decode_execute(frame(FrameType::kExecute, [](Writer& w) {
+                 w.u32(0x4000'0000u);  // pieces
+               })),
+               Error);
+  EXPECT_THROW((void)decode_route_decision(
+                   frame(FrameType::kRouteDecision, [](Writer& w) {
+                     w.u64(1);
+                     w.u64(0);
+                     w.u32(0x4000'0000u);  // targets
+                   })),
+               Error);
+  EXPECT_THROW((void)decode_route_decision(
+                   frame(FrameType::kRouteDecision, [](Writer& w) {
+                     w.u64(1);
+                     w.u64(0);
+                     w.u32(1);  // targets
+                     w.u32(0);  // run
+                     w.u32(3);  // engine
+                     w.u32(1);  // worker
+                     w.u64(0);  // seq
+                     w.u32(0x4000'0000u);  // rows
+                   })),
+               Error);
 }
 
 TEST(WireCodec, RejectsUnknownPredicateTag) {
